@@ -53,7 +53,7 @@ Status Client::Connect(int64_t deadline_ns) {
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port_);
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  conns_.resize(static_cast<size_t>(workload_.connections));
+  conns_.resize(static_cast<size_t>(kConnections));
   for (size_t i = 0; i < conns_.size(); ++i) {
     Conn& conn = conns_[i];
     conn.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);

@@ -12,7 +12,7 @@
 // just grown by tens of megabytes.
 // --trace 1 (per layer): a short open-loop socket run for the metrics only
 // the front door's registry holds, then the in-process replay of the same
-// stream twice, untimed and traced; the spans go to DIR/traces/.
+// stream, alternately untimed and traced; the spans go to DIR/traces/.
 //
 // Human-readable lines come first; the last line of standard output is one
 // JSON object {"correct", "attempted", "failed", "metrics"}. Any breach of
@@ -49,6 +49,8 @@ namespace fs = std::filesystem;
 namespace net = declsched::net;
 
 constexpr int kSetups = 9;
+/// Reactor threads of the wire transport (the HTTP server has one).
+constexpr int kBinaryReactors = 2;
 /// Each phase is cut into slices of this length; a metric is the median
 /// over slices, so a stall that hits one slice moves it little.
 constexpr int64_t kSliceNs = 500'000'000;
@@ -108,7 +110,7 @@ net::FrontDoor::Options DoorOptions(const Workload& w, const std::string& dir) {
   // self-join on hot keys grows quadratically, into counted refusals.
   if (w.binary) {
     net::wire::BinaryServer::Options b;
-    b.reactor_threads = w.reactors;
+    b.reactor_threads = kBinaryReactors;
     o.binary = b;
   }
   if (w.wal) {
@@ -294,7 +296,7 @@ int RunEndToEnd(const Args& args, const Workload& w) {
   std::printf("workload %s seed %llu: %d connections, window %d, open loop "
               "%.0f req/s, nproc %u\n",
               w.name.c_str(), static_cast<unsigned long long>(args.seed),
-              w.connections, w.window, w.open_rps,
+              kConnections, w.window, w.open_rps,
               std::thread::hardware_concurrency());
   std::printf("  closed loop: %lld requests sent; open loop: %lld sent, "
               "%lld acks, %lld late\n",
@@ -336,8 +338,7 @@ const char* LayerUnit(const std::string& name) {
   if (ends("bytes_per_txn")) return "B";
   if (ends("_ns") || ends("_ns_per_stmt") || ends("_ns_per_txn")) return "ns";
   if (ends("_us") || ends("_us_per_txn") || ends("_us_per_cycle")) return "us";
-  if (ends("_frac") || ends("_share") || ends("_ratio") || ends("_imbalance") ||
-      name.rfind("trace.share.", 0) == 0) {
+  if (ends("_frac") || ends("_share") || ends("_ratio") || ends("_imbalance")) {
     return "ratio";
   }
   return "count";
@@ -369,6 +370,8 @@ int RunPerLayer(const Args& args, const Workload& w) {
           reg.GetHistogram("frontdoor_dispatch_latency_us", "")->Snapshot();
       metrics["loadgen.late_frac"] =
           open.sent > 0 ? static_cast<double>(open.late) / open.sent : 0;
+      // frontdoor_submit_latency_us stops at the last commit's dispatch, so
+      // on a workload with a WAL this includes the durable wait too.
       metrics["net.outside_p50_us"] =
           Percentile(all, 50) / 1e3 -
           static_cast<double>(submit.Percentile(50));
@@ -430,6 +433,11 @@ int RunPerLayer(const Args& args, const Workload& w) {
     with_units[name] = {value, LayerUnit(name)};
     std::printf("  %-36s %14.4f %s\n", name.c_str(), value, LayerUnit(name));
   }
+  std::printf("  share of self time:");
+  for (const auto& [layer, share] : traced.layer_shares) {
+    std::printf(" %s %.3f", layer.c_str(), share);
+  }
+  std::printf("\n");
   PrintBreaches(breaches);
   const bool correct = breaches.empty();
   PrintResult(correct, std::max<int64_t>(attempted, 1), failed, with_units);

@@ -31,6 +31,9 @@ struct ReplayOutput {
   uint64_t stream_digest = 0;
   /// Per-layer metrics; filled only when the tracer is enabled.
   std::map<std::string, double> metrics;
+  /// Each layer's self time over all self time, likewise. Printed, not
+  /// reported: the shares sum to 1, so they carry no direction.
+  std::map<std::string, double> layer_shares;
 };
 
 /// Replays the first `requests` messages of the workload's stream for

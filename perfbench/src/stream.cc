@@ -34,7 +34,6 @@ const std::vector<Workload>& Workloads() {
     Workload durable;
     durable.name = "wire-durable";
     durable.binary = true;
-    durable.reactors = 2;
     durable.wal = true;
     durable.protocol = "ss2pl-sql";
     durable.txns_per_request = 8;
@@ -51,7 +50,6 @@ const std::vector<Workload>& Workloads() {
     Workload hot;
     hot.name = "wire-hot";
     hot.binary = true;
-    hot.reactors = 2;
     hot.protocol = "wfq-sql";
     hot.tenants = 4;
     hot.txns_per_request = 8;

@@ -20,10 +20,12 @@
 
 namespace perfbench {
 
+/// Client connections in every workload (the host has 4 cores).
+constexpr int kConnections = 4;
+
 struct Workload {
   std::string name;
   bool binary = false;      ///< wire protocol; false = HTTP/1.1 JSON
-  int reactors = 1;         ///< binary reactor threads
   bool wal = false;         ///< WAL with fsync-per-group-commit
   std::string protocol;     ///< registry name of the scheduling protocol
   int tenants = 1;          ///< equal-weight tenants (wfq)
@@ -32,8 +34,7 @@ struct Workload {
   double read_fraction = 0; ///< share of ops that are reads
   int64_t key_space = 100000;
   double zipf_theta = 0;    ///< 0 = uniform keys
-  int connections = 4;
-  int window = 16;          ///< closed-loop requests in flight (all conns)
+  int window = 16;         ///< closed-loop requests in flight (all conns)
   double open_rps = 0;      ///< open-loop offered rate, requests/s
   int replay_window = 16;   ///< replay: requests in flight
   int64_t replay_requests = 0;  ///< requests one traced replay consumes

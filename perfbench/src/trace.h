@@ -40,9 +40,9 @@ enum class SpanName : uint8_t {
   kNetIo,          ///< server half of the loopback: recv request, send answer
   kHttpParse,      ///< HttpRequestParser Feed + Next
   kJsonParse,      ///< JsonValue::Parse of the submit body
-  kHttpRespond,    ///< JsonValue::Dump + HttpResponse::Serialize
-  kAdmit,          ///< submit body -> transactions, statement validation
-  kDispatch,       ///< front-door dispatch drive: advance txn cursors
+  kHttpRespond,    ///< ack body (StrFormat) + HttpResponse::Json + Serialize
+  kAdmit,          ///< body -> transactions, validation, SubmitWork's books
+  kDispatch,       ///< OnDispatch's drive: lock, cursors, counters, histograms
   kWireDecode,     ///< FrameParser Feed + Next + DecodeSubmitBody
   kWireEncode,     ///< EncodeSubmitOkBody + AppendFrame
   kSubmit,         ///< ShardedScheduler::Submit, single-shard
