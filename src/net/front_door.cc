@@ -271,9 +271,12 @@ Status FrontDoor::ParseSubmitBody(const std::string& body, int* tenant,
   }
   *tenant = 0;
   if (const JsonValue* t = doc.Get("tenant")) {
-    if (!t->is_number()) return Status::InvalidArgument("tenant must be a number");
+    // The wire path's range: a tenant is an int.
+    if (!t->is_int64() || t->AsInt64() < 0 ||
+        t->AsInt64() > std::numeric_limits<int>::max()) {
+      return Status::InvalidArgument("tenant must be an integer in [0, 2^31)");
+    }
     *tenant = static_cast<int>(t->AsInt64());
-    if (*tenant < 0) return Status::InvalidArgument("tenant must be >= 0");
   }
   const JsonValue* txn_list = doc.Get("txns");
   if (txn_list == nullptr || !txn_list->is_array() || txn_list->size() == 0) {
@@ -300,6 +303,9 @@ Status FrontDoor::ParseSubmitBody(const std::string& body, int* tenant,
           !object->is_number()) {
         return Status::InvalidArgument(
             "each op needs {\"op\": \"read\"|\"write\", \"object\": n}");
+      }
+      if (!object->is_int64()) {
+        return Status::InvalidArgument("object must be an integer");
       }
       txn::OpType op;
       if (kind->AsString() == "read") {
@@ -474,20 +480,24 @@ Status FrontDoor::SubmitWork(int tenant, std::vector<TxnState> txns,
   job.txns_total = static_cast<int64_t>(txns.size());
   job.statements = statements;
   job.tenant = tenant;
-  job.start_us = WallMicros();
+  const int64_t start_us = WallMicros();
+  job.start_us = start_us;
   jobs_[job_id] = std::move(job);
 
   inflight_statements_.fetch_add(statements, std::memory_order_relaxed);
   inflight_gauge_->Set(inflight_statements_.load(std::memory_order_relaxed));
   statements_admitted_->Increment(statements);
 
+  submit_batch_.clear();
   for (TxnState& txn : txns) {
     const txn::TxnId ta = next_ta_.fetch_add(1);
     txn.job_id = job_id;
     auto [it, inserted] = txns_.emplace(ta, std::move(txn));
     DS_CHECK(inserted);
-    SubmitOp(it->second, ta);
+    submit_batch_.push_back(NextRequest(it->second, ta, start_us));
   }
+  // Under mu_ for the reason given in OnDispatch.
+  sched_->SubmitBatch(submit_batch_.data(), submit_batch_.size(), SimTime());
   return Status::OK();
 }
 
@@ -593,7 +603,7 @@ void FrontDoor::HandleWireSubmit(const wire::WireFrame& frame,
   if (!admitted.ok()) fail(admitted);
 }
 
-void FrontDoor::SubmitOp(TxnState& txn, txn::TxnId ta) {
+Request FrontDoor::NextRequest(TxnState& txn, txn::TxnId ta, int64_t now_us) {
   // Callers hold mu_.
   Request r;
   r.ta = ta;
@@ -610,8 +620,8 @@ void FrontDoor::SubmitOp(TxnState& txn, txn::TxnId ta) {
     r.op = txn::OpType::kCommit;
     r.object = Request::kNoObject;
   }
-  txn.last_submit_us = WallMicros();
-  sched_->Submit(std::move(r), SimTime());
+  txn.last_submit_us = now_us;
+  return r;
 }
 
 void FrontDoor::OnDispatch(const RequestBatch& batch) {
@@ -624,6 +634,7 @@ void FrontDoor::OnDispatch(const RequestBatch& batch) {
   std::vector<Completion> completions;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    submit_batch_.clear();
     for (const Request& r : batch) {
       auto it = txns_.find(r.ta);
       if (it == txns_.end()) continue;  // not a front-door transaction
@@ -634,7 +645,7 @@ void FrontDoor::OnDispatch(const RequestBatch& batch) {
       Job& job = job_it->second;
       ++job.requests_dispatched;
       if (r.op != txn::OpType::kCommit) {
-        SubmitOp(txn, r.ta);
+        submit_batch_.push_back(NextRequest(txn, r.ta, now_us));
         continue;
       }
       txns_.erase(it);
@@ -664,6 +675,11 @@ void FrontDoor::OnDispatch(const RequestBatch& batch) {
           Completion{std::move(job.done), outcome, job.durable_lsn});
       jobs_.erase(job_it);
     }
+    // One admission for every follow-up of the dispatched batch, and still
+    // under mu_: it serializes SubmitBatch calls, so each shard receives
+    // ids in increasing order — the order in which the vec executor's
+    // columnar mirror takes an admission delta instead of rebuilding.
+    sched_->SubmitBatch(submit_batch_.data(), submit_batch_.size(), SimTime());
   }
   // Respond outside the lock: the done callback posts to a reactor
   // (cheap), but keep the dispatch path's critical section minimal anyway.

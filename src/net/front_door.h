@@ -23,8 +23,9 @@
 // against the scheduler's contract — operation k+1 is submitted only after
 // operation k has been observed dispatched, and the commit only after the
 // last operation. That drive happens inside the scheduler's on_dispatch
-// callback (shard worker threads), so no extra threads exist per request;
-// the HTTP response is completed from the same callback through the
+// callback (shard worker threads), which admits every follow-up of a
+// dispatched batch in one SubmitBatch, so no extra threads exist per
+// request; the HTTP response is completed from the same callback through the
 // server's thread-safe Responder when the batch's last transaction
 // commits. Operations are required to arrive in ascending object order
 // (enforced at admission, 400 otherwise): with one operation in flight per
@@ -235,9 +236,12 @@ class FrontDoor {
   Status AdmitTenant(int tenant, int64_t statements);
 
   /// The scheduler's dispatch callback (shard worker threads): advances
-  /// txn cursors, submits next ops/commits, completes finished jobs.
+  /// txn cursors, submits next ops/commits in one SubmitBatch, completes
+  /// finished jobs.
   void OnDispatch(const scheduler::RequestBatch& batch);
-  void SubmitOp(TxnState& txn, txn::TxnId ta);
+  /// The transaction's next request (next op, or the commit after the
+  /// last), stamped as submitted at `now_us`. Callers hold mu_.
+  scheduler::Request NextRequest(TxnState& txn, txn::TxnId ta, int64_t now_us);
 
   /// The /v1/stats document (also the wire STATS_OK body).
   std::string StatsJson();
@@ -268,13 +272,17 @@ class FrontDoor {
   std::atomic<int64_t> next_ta_{1};
   std::atomic<uint64_t> next_job_id_{1};
 
-  /// Guards jobs_, txns_, buckets_ — touched at admission (reactor
-  /// thread) and from on_dispatch (shard threads). Hot-path cost is one
-  /// uncontended lock per dispatched request.
+  /// Guards jobs_, txns_, buckets_, submit_batch_ — touched at admission
+  /// (reactor thread) and from on_dispatch (shard threads) — and
+  /// serializes the scheduler admissions made from both. Hot-path cost is
+  /// one lock per dispatched batch.
   std::mutex mu_;
   std::unordered_map<uint64_t, Job> jobs_;
   std::unordered_map<txn::TxnId, TxnState> txns_;
   std::map<int, TenantBucket> buckets_;
+  /// The requests of the next SubmitBatch; reused so admission does not
+  /// allocate.
+  scheduler::RequestBatch submit_batch_;
   /// Serializes admin protocol switches against each other.
   std::mutex admin_mu_;
 

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -11,6 +12,11 @@ namespace declsched::net {
 namespace {
 
 constexpr int kMaxDepth = 64;
+
+// The int64 range as doubles (both bounds are exact): converting a double
+// to int64 is defined only inside [kInt64Min, kInt64End).
+constexpr double kInt64Min = -9223372036854775808.0;
+constexpr double kInt64End = 9223372036854775808.0;
 
 class Parser {
  public:
@@ -265,7 +271,6 @@ JsonValue JsonValue::Double(double d) {
   JsonValue v;
   v.kind_ = Kind::kNumber;
   v.number_is_int_ = false;
-  v.int_ = static_cast<int64_t>(d);
   v.double_ = d;
   return v;
 }
@@ -293,8 +298,19 @@ Result<JsonValue> JsonValue::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
 }
 
+bool JsonValue::is_int64() const {
+  if (kind_ != Kind::kNumber) return false;
+  if (number_is_int_) return true;
+  return double_ >= kInt64Min && double_ < kInt64End &&
+         std::trunc(double_) == double_;
+}
+
 int64_t JsonValue::AsInt64() const {
-  return number_is_int_ ? int_ : static_cast<int64_t>(double_);
+  if (number_is_int_) return int_;
+  if (std::isnan(double_)) return 0;
+  if (double_ < kInt64Min) return std::numeric_limits<int64_t>::min();
+  if (double_ >= kInt64End) return std::numeric_limits<int64_t>::max();
+  return static_cast<int64_t>(double_);
 }
 
 double JsonValue::AsDouble() const {

@@ -43,7 +43,14 @@ class JsonValue {
   bool is_array() const { return kind_ == Kind::kArray; }
   bool is_object() const { return kind_ == Kind::kObject; }
 
+  /// A number whose value is a whole int64: every integer literal in
+  /// range, and doubles such as 2.0 or 1e3. False for 1.5, 1e30, and
+  /// integer literals past int64 (the parser keeps those as doubles).
+  bool is_int64() const;
+
   bool AsBool() const { return bool_; }
+  /// The number as int64: exact when is_int64(); otherwise truncated
+  /// toward zero and clamped to the int64 range (NaN reads 0).
   int64_t AsInt64() const;
   double AsDouble() const;
   const std::string& AsString() const { return string_; }

@@ -151,8 +151,8 @@ class StarvationBoostStage : public ProtocolStage {
       universe = &fetched;
     }
     // Oldest pending arrival per tenant. Min, not first-sight: preassigned
-    // ids from concurrent submitters (SubmitRouted) need not arrive in
-    // id order.
+    // ids from concurrent submitters (sharded admission) need not arrive
+    // in id order.
     std::map<int64_t, int64_t> oldest;
     for (const Request& r : *universe) {
       auto [it, inserted] = oldest.emplace(r.tenant, r.arrival.micros());

@@ -51,14 +51,6 @@ int64_t DeclarativeScheduler::Submit(Request request, SimTime now) {
   return next_request_id_ - 1;
 }
 
-void DeclarativeScheduler::SubmitRouted(Request request) {
-  // Only the queue (its own mutex). totals_.admitted is Submit()-path
-  // state and is deliberately not touched from here — in sharded mode the
-  // ShardedScheduler's own totals().submitted is the admission count, and
-  // queue()->total_pushed() gives the per-shard number when needed.
-  queue_.Push(std::move(request));
-}
-
 bool DeclarativeScheduler::ShouldFire(SimTime now) const {
   // Fire on queued work; also fire on stalled pending work (blocked requests
   // can only make progress through another cycle).

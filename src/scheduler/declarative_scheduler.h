@@ -15,12 +15,12 @@
 //
 // Thread ownership: one thread — the cycle thread — owns RunCycle,
 // SwitchProtocol, ApplyEscrowedFinisher, store() mutation, and every
-// accessor not documented otherwise. Admission (Submit/SubmitRouted) is
-// the one concurrent entry point: it touches only the thread-safe incoming
-// queue (plus, for Submit, the id counter — so preassign ids via
-// SubmitRouted when submitting from multiple threads). This is the
-// contract the sharded scheduler builds on (one DeclarativeScheduler per
-// shard, one worker thread each); see docs/ARCHITECTURE.md. Epoch
+// accessor not documented otherwise. Admission is the one concurrent
+// entry point: it touches only the thread-safe incoming queue (plus, for
+// Submit, the id counter — so submitters on several threads preassign ids
+// and push to queue() directly). This is the contract the sharded
+// scheduler builds on (one DeclarativeScheduler per shard, one worker
+// thread each); see docs/ARCHITECTURE.md. Epoch
 // invariant: every store mutation RunCycle makes bumps the store's
 // pending/history epoch exactly once and is narrated through exactly one
 // protocol hook immediately after — the handshake incremental backends
@@ -130,14 +130,8 @@ class DeclarativeScheduler {
   /// Admits a request: assigns id and arrival, appends to the queue.
   /// Returns the assigned id. Call from one submitting thread at a time
   /// (the id counter is unsynchronized); concurrent submitters should
-  /// preassign ids and use SubmitRouted.
+  /// preassign ids and push to queue().
   int64_t Submit(Request request, SimTime now);
-
-  /// Admits a request that already carries its (globally unique) id —
-  /// sharded mode, where the ShardedScheduler numbers requests. Touches
-  /// only the thread-safe incoming queue: safe from any thread, any number
-  /// concurrently.
-  void SubmitRouted(Request request);
 
   /// Applies a finisher (commit/abort) marker published by another shard's
   /// dispatch: drops the transaction's pending requests if it aborted, then
@@ -193,8 +187,10 @@ class DeclarativeScheduler {
   const SchedulerTotals& totals() const { return totals_; }
   /// Thread-safe (the queue carries its own lock).
   int64_t queue_size() const { return queue_.size(); }
-  /// The incoming queue (e.g. to set its push-notify hook). The queue's own
-  /// API is thread-safe; set_notify before producers start.
+  /// The incoming queue: sharded admission pushes pre-numbered requests
+  /// here, from any thread (totals().admitted counts Submit only; the
+  /// queue's total_pushed() counts both). The queue's own API is
+  /// thread-safe; set_notify before producers start.
   IncomingQueue* queue() { return &queue_; }
 
  private:

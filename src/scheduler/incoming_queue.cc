@@ -2,12 +2,14 @@
 
 namespace declsched::scheduler {
 
-int64_t IncomingQueue::Push(Request request) {
+int64_t IncomingQueue::Push(Request request) { return PushBatch(&request, 1); }
+
+int64_t IncomingQueue::PushBatch(const Request* requests, size_t count) {
   int64_t size;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(request));
-    ++total_pushed_;
+    queue_.insert(queue_.end(), requests, requests + count);
+    total_pushed_ += static_cast<int64_t>(count);
     size = static_cast<int64_t>(queue_.size());
   }
   if (notify_) notify_();

@@ -151,11 +151,9 @@ class Harness {
     if (scheduler_->tenant_accountant() != nullptr) {
       result_.tenant_totals = scheduler_->tenant_accountant()->Totals();
     }
-    if (config_.server.materialize_rows) {
-      for (int64_t k = 0; k < config_.server.num_rows; ++k) {
-        DS_ASSIGN_OR_RETURN(int64_t value, server_.RowValue(k));
-        result_.server_write_checksum += value;
-      }
+    for (int64_t k = 0; k < config_.server.num_rows; ++k) {
+      DS_ASSIGN_OR_RETURN(int64_t value, server_.RowValue(k));
+      result_.server_write_checksum += value;
     }
     return std::move(result_);
   }

@@ -64,8 +64,7 @@ struct MiddlewareSimResult {
   /// transactions that later aborted — dispatched work is done work).
   int64_t dispatched_writes = 0;
   /// Sum of all row values after the run (each write increments its row by
-  /// one): in a correct pipeline this equals dispatched_writes. 0 when the
-  /// server runs in non-materialized mode.
+  /// one): in a correct pipeline this equals dispatched_writes.
   int64_t server_write_checksum = 0;
 
   double throughput_txns_per_sec() const {

@@ -45,9 +45,9 @@ ShardRouter::Route ShardRouter::RouteRequest(const Request& request) {
   Route route;
   if (request.op == txn::OpType::kRead || request.op == txn::OpType::kWrite) {
     route.shard = ShardOfObject(request.object);
-    route.involved = {route.shard};
+    route.involved = 1u << route.shard;
     std::lock_guard<std::mutex> lock(mu_);
-    footprint_[request.ta] |= 1u << route.shard;
+    footprint_[request.ta] |= route.involved;
     return route;
   }
   // Finisher: its lock set is everything the transaction touched.
@@ -64,11 +64,11 @@ ShardRouter::Route ShardRouter::RouteRequest(const Request& request) {
     // Never saw a read/write of this transaction (commit-only, or its
     // footprint was already consumed): nothing to release anywhere else.
     route.shard = ShardOfTransaction(request.ta);
-    route.involved = {route.shard};
+    route.involved = 1u << route.shard;
     return route;
   }
-  route.involved = MaskToShards(mask);
-  route.shard = route.involved.front();  // lowest shard = escrow home
+  route.involved = mask;
+  route.shard = __builtin_ctz(mask);  // lowest shard = escrow home
   return route;
 }
 

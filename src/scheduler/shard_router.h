@@ -49,9 +49,12 @@ class ShardRouter {
     /// Admission shard: the object's owner for read/write; the lowest
     /// footprint shard (the escrow "home") for a finisher.
     int shard = 0;
-    /// Every shard holding locks the request touches, ascending (canonical
-    /// escrow-ticket order). Size > 1 only for cross-shard finishers.
-    std::vector<int> involved;
+    /// Bitmask of every shard holding locks the request touches; ascending
+    /// bit order is the canonical escrow-ticket order. More than one bit
+    /// only for cross-shard finishers.
+    uint32_t involved = 0;
+
+    bool cross_shard() const { return (involved & (involved - 1)) != 0; }
   };
 
   /// Routes `request`. Read/write: records the object's shard in the

@@ -304,10 +304,16 @@ void ShardedScheduler::MarkDirty(int s) {
 }
 
 int64_t ShardedScheduler::Submit(Request request, SimTime now) {
+  return SubmitBatch(&request, 1, now);
+}
+
+int64_t ShardedScheduler::SubmitBatch(Request* requests, size_t count,
+                                      SimTime now) {
   DS_CHECK(initialized_);
+  if (count == 0) return 0;
   const int64_t t0 = ThreadCpuMicros();
-  request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
-  request.arrival = now;
+  const int64_t first_id = next_id_.fetch_add(static_cast<int64_t>(count),
+                                              std::memory_order_relaxed);
   // Advance the shared cycle clock (max, monotone).
   int64_t observed = now_us_.load(std::memory_order_relaxed);
   while (now.micros() > observed &&
@@ -315,38 +321,70 @@ int64_t ShardedScheduler::Submit(Request request, SimTime now) {
                                         std::memory_order_relaxed)) {
   }
 
-  const ShardRouter::Route route = router_.RouteRequest(request);
-  if (route.involved.size() <= 1) {
-    shards_[route.shard]->sched->SubmitRouted(request);
-  } else {
-    // Escrow path: tickets in canonical (ascending) shard order.
-    for (int s : route.involved) shards_[s]->ticket_mu.lock();
-    uint32_t mask = 0;
-    for (int s : route.involved) mask |= 1u << s;
-    const int home = route.involved.front();
-    for (int s : route.involved) {
-      Shard& sh = *shards_[s];
-      EscrowEntry entry;
-      entry.marker = request;
-      entry.mirror_mask = s == home ? mask : 0;
-      std::lock_guard<std::mutex> lock(sh.escrow_mu);
-      if (sh.escrow_entries.emplace(request.ta, std::move(entry)).second) {
-        sh.escrow_count.fetch_add(1, std::memory_order_relaxed);
-      }
+  // Each shard's share of the batch, pushed with one queue lock and one
+  // wake. The buckets are emptied before returning but keep their
+  // capacity, so steady-state admission allocates nothing.
+  thread_local std::vector<RequestBatch> buckets;
+  if (buckets.size() < shards_.size()) buckets.resize(shards_.size());
+  const auto push = [&](uint32_t mask) {
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      RequestBatch& bucket = buckets[s];
+      if (bucket.empty() || !(mask >> s & 1u)) continue;
+      shards_[s]->sched->queue()->PushBatch(bucket.data(), bucket.size());
+      bucket.clear();
     }
-    // Every involved shard has granted (ticket held, escrow registered):
-    // publish the finisher for dispatch by the home shard's protocol.
-    shards_[home]->sched->SubmitRouted(request);
-    for (auto it = route.involved.rbegin(); it != route.involved.rend(); ++it) {
-      shards_[*it]->ticket_mu.unlock();
+  };
+  for (size_t i = 0; i < count; ++i) {
+    Request& request = requests[i];
+    request.id = first_id + static_cast<int64_t>(i);
+    request.arrival = now;
+    const ShardRouter::Route route = router_.RouteRequest(request);
+    if (!route.cross_shard()) {
+      buckets[static_cast<size_t>(route.shard)].push_back(request);
+      continue;
     }
-    escrows_.fetch_add(1, std::memory_order_relaxed);
-    if (m_escrows_ != nullptr) m_escrows_->Increment();
+    // Everything this batch holds for the finisher's shards goes first:
+    // the home shard's queue must see the finisher after the lower ids.
+    push(route.involved);
+    SubmitEscrowed(request, route.involved);
   }
-  submitted_.fetch_add(1, std::memory_order_relaxed);
-  if (m_submitted_ != nullptr) m_submitted_->Increment();
+  push(~0u);
+
+  submitted_.fetch_add(static_cast<int64_t>(count), std::memory_order_relaxed);
+  if (m_submitted_ != nullptr) {
+    m_submitted_->Increment(static_cast<int64_t>(count));
+  }
   coordination_us_.fetch_add(ThreadCpuMicros() - t0, std::memory_order_relaxed);
-  return request.id;
+  return first_id;
+}
+
+void ShardedScheduler::SubmitEscrowed(const Request& finisher,
+                                      uint32_t involved) {
+  // Tickets in canonical (ascending) shard order.
+  const int n = options_.num_shards;
+  for (int s = 0; s < n; ++s) {
+    if (involved >> s & 1u) shards_[s]->ticket_mu.lock();
+  }
+  const int home = __builtin_ctz(involved);
+  for (int s = 0; s < n; ++s) {
+    if (!(involved >> s & 1u)) continue;
+    Shard& sh = *shards_[s];
+    EscrowEntry entry;
+    entry.marker = finisher;
+    entry.mirror_mask = s == home ? involved : 0;
+    std::lock_guard<std::mutex> lock(sh.escrow_mu);
+    if (sh.escrow_entries.emplace(finisher.ta, std::move(entry)).second) {
+      sh.escrow_count.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+  // Every involved shard has granted (ticket held, escrow registered):
+  // publish the finisher for dispatch by the home shard's protocol.
+  shards_[home]->sched->queue()->Push(finisher);
+  for (int s = n - 1; s >= 0; --s) {
+    if (involved >> s & 1u) shards_[s]->ticket_mu.unlock();
+  }
+  escrows_.fetch_add(1, std::memory_order_relaxed);
+  if (m_escrows_ != nullptr) m_escrows_->Increment();
 }
 
 Status ShardedScheduler::AbortTransaction(txn::TxnId ta, SimTime now) {

@@ -50,7 +50,18 @@
 //
 // Submission contract (the paper's closed-loop clients already obey it):
 // submit a transaction's finisher only after all of its reads/writes have
-// been observed dispatched. Ids are assigned globally by this class.
+// been observed dispatched.
+//
+// Admission is set-at-a-time. SubmitBatch numbers a batch with one
+// contiguous range of global ids, routes each request, and pushes each
+// shard's share with one queue lock and one wake. Within a batch every
+// shard receives its ids in increasing order: a cross-shard finisher first
+// pushes what the batch holds for its involved shards, then takes the
+// escrow path above. Concurrent SubmitBatch calls take disjoint ranges but
+// may interleave their pushes; a caller that needs every shard queue in
+// global id order serializes its calls (the front door does — the vec
+// executor's columnar mirror takes an admission delta only in id order and
+// rebuilds from scratch otherwise). Submit is a one-request SubmitBatch.
 //
 // Two driving modes, same per-shard logic:
 //   * threaded — Start() spawns one worker per shard; workers park when
@@ -88,8 +99,9 @@ struct EscrowFanout;  // scheduler/durability.h
 class ShardedScheduler {
  public:
   /// Called on the dispatching shard's cycle thread, after every cycle that
-  /// dispatched requests. Must be thread-safe; may call Submit() (that is
-  /// how closed-loop drivers feed finishers without an extra thread).
+  /// dispatched requests. Must be thread-safe; may call Submit() or
+  /// SubmitBatch() (that is how closed-loop clients feed finishers without
+  /// an extra thread).
   using DispatchCallback = std::function<void(int shard, const RequestBatch& batch)>;
 
   /// Durability configuration. When enabled, Init() first recovers `dir`
@@ -192,6 +204,13 @@ class ShardedScheduler {
   /// through the escrow path and may block briefly on admission tickets.
   int64_t Submit(Request request, SimTime now);
 
+  /// Admits `count` requests as one batch (see the header comment): assigns
+  /// the contiguous ids first .. first + count - 1 in array order, writing
+  /// each request's id and arrival back into `requests`, and returns
+  /// `first` (0 when `count` is 0). Thread-safe; charges one thread-CPU
+  /// clock pair per batch to coordination_us().
+  int64_t SubmitBatch(Request* requests, size_t count, SimTime now);
+
   /// Aborts a transaction from outside the shards: publishes an abort
   /// marker to every shard in its routed footprint — the same mirror path
   /// a deadlock-victim abort fans out through — dropping its pending
@@ -257,8 +276,8 @@ class ShardedScheduler {
   /// another shard on a small machine) spends preempting a cycle is that
   /// thread's cost, not this shard's.
   int64_t shard_busy_us(int i) const;
-  /// CPU time submitters spent in routing + escrow coordination (the
-  /// serial term of the projection).
+  /// CPU time submitters spent in routing, queue pushes and escrow
+  /// coordination (the serial term of the projection).
   int64_t coordination_us() const { return coordination_us_.load(); }
 
   // --- durability ---
@@ -331,6 +350,10 @@ class ShardedScheduler {
   /// view, run one cycle if dirty, process dispatches. Returns true if a
   /// cycle ran. Cycle thread (worker or cooperative caller) only.
   Result<bool> RunShardOnce(int s, SimTime now);
+  /// The escrow path for one cross-shard finisher: tickets of every shard
+  /// in `involved` (a bitmask) in ascending order, escrow registration on
+  /// each, then admission to the home (lowest) shard.
+  void SubmitEscrowed(const Request& finisher, uint32_t involved);
   Status ProcessDispatched(int s, const RequestBatch& batch);
   /// Drains and applies the shard's mirror inbox; returns how many applied.
   int ApplyMirrors(int s);

@@ -1,23 +1,14 @@
 #include "server/database_server.h"
 
+#include <algorithm>
+
 #include "common/string_util.h"
-#include "storage/value.h"
 
 namespace declsched::server {
 
-using storage::Value;
-
 DatabaseServer::DatabaseServer(const Config& config)
     : config_(config),
-      table_("data", storage::Schema({{"key", storage::ValueType::kInt64},
-                                      {"val", storage::ValueType::kInt64}})) {
-  if (config_.materialize_rows) {
-    for (int64_t k = 0; k < config_.num_rows; ++k) {
-      // RowId equals key: dense insertion order.
-      table_.Insert({Value::Int64(k), Value::Int64(0)}).ValueOrDie();
-    }
-  }
-}
+      rows_(static_cast<size_t>(std::max<int64_t>(config.num_rows, 0)), 0) {}
 
 Status DatabaseServer::ValidateStatement(const Statement& stmt) const {
   if (stmt.op == txn::OpType::kRead || stmt.op == txn::OpType::kWrite) {
@@ -69,23 +60,15 @@ Result<DatabaseServer::BatchStats> DatabaseServer::ExecuteBatch(
     SimTime stmt_cost;
     switch (stmt.op) {
       case txn::OpType::kRead:
-      case txn::OpType::kWrite: {
-        if (config_.materialize_rows) {
-          const storage::Row* row = table_.Get(stmt.object);
-          if (stmt.op == txn::OpType::kWrite) {
-            DS_RETURN_NOT_OK(table_.Update(
-                stmt.object,
-                {Value::Int64(stmt.object), Value::Int64((*row)[1].AsInt64() + 1)}));
-          }
-        }
+      case txn::OpType::kWrite:
         if (stmt.op == txn::OpType::kWrite) {
+          ++rows_[static_cast<size_t>(stmt.object)];
           ++stats.writes;
         } else {
           ++stats.reads;
         }
         stmt_cost = config_.cost.statement_service;
         break;
-      }
       case txn::OpType::kCommit:
         ++stats.commits;
         stmt_cost = config_.cost.commit_service;
@@ -124,13 +107,11 @@ SimTime DatabaseServer::shard_busy(int shard) const {
 }
 
 Result<int64_t> DatabaseServer::RowValue(int64_t key) const {
-  if (!config_.materialize_rows) return 0;
-  std::lock_guard<std::mutex> lock(mu_);
-  const storage::Row* row = table_.Get(key);
-  if (row == nullptr) {
+  if (key < 0 || key >= config_.num_rows) {
     return Status::NotFound(StrFormat("no row %lld", static_cast<long long>(key)));
   }
-  return (*row)[1].AsInt64();
+  std::lock_guard<std::mutex> lock(mu_);
+  return rows_[static_cast<size_t>(key)];
 }
 
 }  // namespace declsched::server

@@ -135,6 +135,21 @@ TEST(FrontDoorTest, ErrorPathsMapToHttpStatuses) {
       R"({"tenant":7,"txns":[{"ops":[{"op":"write","object":1}]}]})");
   EXPECT_EQ(tenant.status, 400);
   EXPECT_NE(tenant.body.find("unknown tenant"), std::string::npos);
+  // A tenant or object that is not a whole number in range -> 400, never
+  // truncated or wrapped onto a known one (4294967296 would wrap to 0).
+  for (const char* body : {
+           R"({"tenant":1e30,"txns":[{"ops":[{"op":"write","object":1}]}]})",
+           R"({"tenant":1.9,"txns":[{"ops":[{"op":"write","object":1}]}]})",
+           R"({"tenant":4294967296,"txns":[{"ops":[{"op":"write","object":1}]}]})",
+           R"({"tenant":99999999999999999999,"txns":[{"ops":[{"op":"write","object":1}]}]})",
+           R"({"tenant":-1,"txns":[{"ops":[{"op":"write","object":1}]}]})",
+           R"({"txns":[{"ops":[{"op":"write","object":1e30}]}]})",
+           R"({"txns":[{"ops":[{"op":"write","object":-1e30}]}]})",
+           R"({"txns":[{"ops":[{"op":"write","object":2.5}]}]})",
+           R"({"txns":[{"ops":[{"op":"write","object":99999999999999999999}]}]})",
+       }) {
+    EXPECT_EQ(client.Post("/v1/submit", body).status, 400) << body;
+  }
   // Unknown route -> 404.
   EXPECT_EQ(client.Get("/nope").status, 404);
   // A valid submission still works after all those rejections.

@@ -1,5 +1,6 @@
 #include "net/json.h"
 
+#include <cstdint>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -36,6 +37,33 @@ TEST(JsonTest, ParsesNestedStructure) {
   ASSERT_TRUE(ops != nullptr && ops->is_array());
   EXPECT_EQ(ops->at(0).Get("op")->AsString(), "write");
   EXPECT_EQ(ops->at(0).Get("object")->AsInt64(), 9);
+}
+
+TEST(JsonTest, HostileNumbersConvertWithoutOverflow) {
+  // Whole numbers in range are int64, however written.
+  for (const char* whole : {"0", "-7", "2.0", "1e3", "-9223372036854775808",
+                            "9223372036854775807"}) {
+    EXPECT_TRUE(MustParse(whole).is_int64()) << whole;
+  }
+  EXPECT_EQ(MustParse("1e3").AsInt64(), 1000);
+  // Fractions, and magnitudes past int64 (integer literals included: the
+  // parser keeps them as doubles), are not — and converting them anyway is
+  // defined: truncated toward zero, clamped to the int64 range.
+  for (const char* hostile :
+       {"1.9", "-0.5", "1e30", "-1e30", "1e308", "9223372036854775808",
+        "99999999999999999999", "-99999999999999999999"}) {
+    const JsonValue v = MustParse(hostile);
+    EXPECT_TRUE(v.is_number()) << hostile;
+    EXPECT_FALSE(v.is_int64()) << hostile;
+  }
+  EXPECT_EQ(MustParse("1.9").AsInt64(), 1);
+  EXPECT_EQ(MustParse("-0.5").AsInt64(), 0);
+  EXPECT_EQ(MustParse("1e30").AsInt64(), INT64_MAX);
+  EXPECT_EQ(MustParse("-1e30").AsInt64(), INT64_MIN);
+  EXPECT_EQ(MustParse("99999999999999999999").AsInt64(), INT64_MAX);
+  EXPECT_EQ(MustParse(R"({"tenant":1e30})").Get("tenant")->AsInt64(),
+            INT64_MAX);
+  EXPECT_FALSE(MustParse("\"7\"").is_int64());
 }
 
 TEST(JsonTest, GetOnAbsentKeyOrNonObjectIsNull) {

@@ -16,6 +16,7 @@
 
 #include "scheduler/sharded_scheduler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <set>
@@ -25,6 +26,8 @@
 
 #include "common/rng.h"
 #include "gtest/gtest.h"
+#include "scheduler/ir/compiled_protocol.h"
+#include "scheduler/ir/vec/column_mirror.h"
 #include "scheduler/protocol_library.h"
 #include "scheduler/shard_router.h"
 
@@ -93,21 +96,25 @@ DeclarativeScheduler::Options NativeOptions() {
   return options;
 }
 
-/// Drives one trace to completion on any scheduler, via three hooks, and
-/// returns every dispatched request. `settle` runs until quiescent and
-/// appends newly dispatched requests. Fails (returns false) on stall.
+/// Drives one trace to completion on any scheduler, via two hooks, and
+/// returns every dispatched request. `submit` admits a batch, in order:
+/// each wave's reads/writes, then each round's finishers. `settle` runs
+/// until quiescent and appends newly dispatched requests. Fails (returns
+/// false) on stall.
 bool DriveTrace(const std::vector<std::vector<TraceTxn>>& trace,
-                const std::function<void(const Request&)>& submit,
+                const std::function<void(RequestBatch*)>& submit,
                 const std::function<void(RequestBatch*)>& settle,
                 RequestBatch* dispatched) {
   for (const auto& wave : trace) {
     std::map<txn::TxnId, size_t> remaining;
     std::set<txn::TxnId> finisher_sent;
     std::set<txn::TxnId> finished;
+    RequestBatch ops;
     for (const TraceTxn& txn : wave) {
       remaining[txn.ta] = txn.ops.size();
-      for (const Request& op : txn.ops) submit(op);
+      ops.insert(ops.end(), txn.ops.begin(), txn.ops.end());
     }
+    submit(&ops);
     for (int round = 0; round < 1000; ++round) {
       const size_t before = dispatched->size();
       settle(dispatched);
@@ -120,20 +127,21 @@ bool DriveTrace(const std::vector<std::vector<TraceTxn>>& trace,
         }
       }
       bool all_done = true;
-      bool submitted_any = false;
+      RequestBatch finishers;
       for (const TraceTxn& txn : wave) {
         if (finished.count(txn.ta)) continue;
         all_done = false;
         if (remaining[txn.ta] == 0 && !finisher_sent.count(txn.ta)) {
           finisher_sent.insert(txn.ta);
-          submit(Op(txn.ta, 1000, txn.finisher, Request::kNoObject));
-          submitted_any = true;
+          finishers.push_back(
+              Op(txn.ta, 1000, txn.finisher, Request::kNoObject));
         }
       }
       if (all_done) break;
-      if (!submitted_any && dispatched->size() == before) {
+      if (finishers.empty() && dispatched->size() == before) {
         return false;  // no progress and nothing left to feed: stalled
       }
+      if (!finishers.empty()) submit(&finishers);
     }
     for (const TraceTxn& txn : wave) {
       if (!finished.count(txn.ta)) return false;
@@ -148,7 +156,10 @@ RequestBatch ReferenceDispatches(const std::vector<std::vector<TraceTxn>>& trace
   EXPECT_TRUE(sched.Init().ok());
   RequestBatch dispatched;
   const bool ok = DriveTrace(
-      trace, [&](const Request& r) { sched.Submit(r, SimTime()); },
+      trace,
+      [&](RequestBatch* batch) {
+        for (const Request& r : *batch) sched.Submit(r, SimTime());
+      },
       [&](RequestBatch* out) {
         while (true) {
           auto stats = sched.RunCycle(SimTime());
@@ -161,6 +172,18 @@ RequestBatch ReferenceDispatches(const std::vector<std::vector<TraceTxn>>& trace
       &dispatched);
   EXPECT_TRUE(ok) << "reference scheduler stalled";
   return dispatched;
+}
+
+/// Admits `batch` through SubmitBatch calls cut at random points.
+void SubmitInRandomCuts(ShardedScheduler* sharded, RequestBatch* batch,
+                        Rng* rng) {
+  for (size_t begin = 0; begin < batch->size();) {
+    const size_t left = batch->size() - begin;
+    const size_t n = static_cast<size_t>(
+        rng->UniformInt(1, static_cast<int64_t>(left)));
+    sharded->SubmitBatch(batch->data() + begin, n, SimTime());
+    begin += n;
+  }
 }
 
 std::vector<std::string> SortedKeys(const RequestBatch& batch) {
@@ -178,7 +201,8 @@ TEST(ShardRouterTest, ReadWriteRoutesByObjectAndRecordsFootprint) {
   const Request w = Op(7, 1, txn::OpType::kWrite, 42);
   const auto route = router.RouteRequest(w);
   EXPECT_EQ(route.shard, router.ShardOfObject(42));
-  EXPECT_EQ(route.involved, std::vector<int>{route.shard});
+  EXPECT_EQ(route.involved, 1u << route.shard);
+  EXPECT_FALSE(route.cross_shard());
   EXPECT_EQ(router.Footprint(7), std::vector<int>{route.shard});
   EXPECT_EQ(router.tracked_transactions(), 1);
 }
@@ -194,13 +218,16 @@ TEST(ShardRouterTest, FinisherConsumesFootprintInCanonicalOrder) {
   }
   const auto route =
       router.RouteRequest(Op(9, intrata, txn::OpType::kCommit, Request::kNoObject));
-  EXPECT_EQ(route.involved, std::vector<int>(shards.begin(), shards.end()));
+  uint32_t mask = 0;
+  for (int shard : shards) mask |= 1u << shard;
+  EXPECT_EQ(route.involved, mask);
+  EXPECT_TRUE(route.cross_shard());
   EXPECT_EQ(route.shard, *shards.begin());  // home = lowest involved
   EXPECT_EQ(router.tracked_transactions(), 0);  // consumed
   // A finisher of an unknown transaction routes alone, by transaction hash.
   const auto unknown =
       router.RouteRequest(Op(55, 1, txn::OpType::kCommit, Request::kNoObject));
-  EXPECT_EQ(unknown.involved.size(), 1u);
+  EXPECT_EQ(unknown.involved, 1u << unknown.shard);
   EXPECT_EQ(unknown.shard, router.ShardOfTransaction(55));
 }
 
@@ -208,8 +235,9 @@ TEST(ShardRouterTest, FinisherConsumesFootprintInCanonicalOrder) {
 
 TEST(ShardedSchedulerTest, EscrowPropertyDispatchSetEquivalence) {
   // 1000 randomized traces, each driven through the unsharded scheduler and
-  // through 2/3/4-shard schedulers: identical dispatch sets, no duplicates,
-  // no stall.
+  // through 2/3/4-shard schedulers — once a request at a time, once in
+  // SubmitBatch calls cut at random points: identical dispatch sets, no
+  // duplicates, no stall.
   constexpr int kTraces = 1000;
   int64_t total_escrows = 0;
   int64_t total_mirrors = 0;
@@ -224,33 +252,128 @@ TEST(ShardedSchedulerTest, EscrowPropertyDispatchSetEquivalence) {
               expected.size());
 
     const int num_shards = 2 + trace_idx % 3;
-    ShardedScheduler::Options options;
-    options.num_shards = num_shards;
-    options.shard = NativeOptions();
-    ShardedScheduler sharded(std::move(options), nullptr);
-    ASSERT_TRUE(sharded.Init().ok());
-    RequestBatch dispatched;
-    const bool ok = DriveTrace(
-        trace, [&](const Request& r) { sharded.Submit(r, SimTime()); },
-        [&](RequestBatch* out) {
-          ASSERT_TRUE(sharded.RunUntilIdle(SimTime()).ok());
-          const RequestBatch batch = sharded.TakeDispatched();
-          out->insert(out->end(), batch.begin(), batch.end());
-        },
-        &dispatched);
-    ASSERT_TRUE(ok) << "sharded scheduler stalled (trace " << trace_idx
-                    << ", shards " << num_shards << ")";
-    const std::vector<std::string> got = SortedKeys(dispatched);
-    ASSERT_EQ(got, expected) << "dispatch set diverged (trace " << trace_idx
-                             << ", shards " << num_shards << ")";
-    total_escrows += sharded.totals().escrows;
-    total_mirrors += sharded.totals().mirrors_applied;
-    ASSERT_EQ(sharded.totals().dispatched,
-              static_cast<int64_t>(dispatched.size()));
+    for (const bool batched : {false, true}) {
+      ShardedScheduler::Options options;
+      options.num_shards = num_shards;
+      options.shard = NativeOptions();
+      ShardedScheduler sharded(std::move(options), nullptr);
+      ASSERT_TRUE(sharded.Init().ok());
+      Rng cuts(static_cast<uint64_t>(trace_idx));
+      RequestBatch dispatched;
+      const bool ok = DriveTrace(
+          trace,
+          [&](RequestBatch* batch) {
+            if (batched) {
+              SubmitInRandomCuts(&sharded, batch, &cuts);
+              return;
+            }
+            for (const Request& r : *batch) sharded.Submit(r, SimTime());
+          },
+          [&](RequestBatch* out) {
+            ASSERT_TRUE(sharded.RunUntilIdle(SimTime()).ok());
+            const RequestBatch batch = sharded.TakeDispatched();
+            out->insert(out->end(), batch.begin(), batch.end());
+          },
+          &dispatched);
+      const std::string where = " (trace " + std::to_string(trace_idx) +
+                                ", shards " + std::to_string(num_shards) +
+                                (batched ? ", batched)" : ")");
+      ASSERT_TRUE(ok) << "sharded scheduler stalled" << where;
+      const std::vector<std::string> got = SortedKeys(dispatched);
+      ASSERT_EQ(got, expected) << "dispatch set diverged" << where;
+      const ShardedScheduler::Totals totals = sharded.totals();
+      ASSERT_EQ(totals.dispatched, static_cast<int64_t>(dispatched.size()));
+      ASSERT_EQ(totals.submitted, totals.dispatched) << where;
+      total_escrows += totals.escrows;
+      total_mirrors += totals.mirrors_applied;
+    }
   }
   // The property is about the escrow path; make sure the traces exercised it.
-  EXPECT_GT(total_escrows, 100);
-  EXPECT_GT(total_mirrors, 100);
+  EXPECT_GT(total_escrows, 200);
+  EXPECT_GT(total_mirrors, 200);
+}
+
+TEST(ShardedSchedulerTest, BatchedAdmissionKeepsVecMirrorsOnTheDeltaPath) {
+  // ss2pl-sql compiles onto the vec executor. Its columnar mirror takes an
+  // admission delta only while ids reach its shard in increasing order and
+  // rebuilds from scratch otherwise, as does the lock table on a missed
+  // delta. Closed-loop batches here put each round's cross-shard commits
+  // after the first writes of newly started transactions, so a finisher's
+  // escrow admission overtaking a lower id bound for its home shard would
+  // show up as a second rebuild.
+  ShardedScheduler::Options options;
+  options.num_shards = 2;
+  options.shard.protocol = Ss2plSql();
+  options.shard.deadlock_detection = false;
+  ShardedScheduler sharded(std::move(options), nullptr);
+  ASSERT_TRUE(sharded.Init().ok());
+
+  std::vector<int64_t> on_shard[2];
+  for (int64_t o = 0; on_shard[0].size() < 12 || on_shard[1].size() < 12; ++o) {
+    on_shard[sharded.router().ShardOfObject(o)].push_back(o);
+  }
+  // Every transaction touches one object per shard, in ascending object
+  // order with one request in flight (deadlock-free), so its commit is
+  // cross-shard.
+  struct Txn {
+    std::vector<int64_t> objects;
+    size_t next = 0;
+  };
+  Rng rng(17);
+  std::map<txn::TxnId, Txn> live;
+  txn::TxnId next_ta = 1;
+  constexpr int kTxns = 300;
+  int committed = 0;
+  RequestBatch batch;
+  RequestBatch dispatched;
+  for (int round = 0; round < 10000 && committed < kTxns; ++round) {
+    batch.clear();
+    for (int k = 0; k < 3 && next_ta <= kTxns; ++k) {
+      const txn::TxnId ta = next_ta++;
+      Txn txn;
+      for (const auto& objects : on_shard) {
+        txn.objects.push_back(objects[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(objects.size()) - 1))]);
+      }
+      std::sort(txn.objects.begin(), txn.objects.end());
+      batch.push_back(Op(ta, 1, txn::OpType::kWrite, txn.objects[0]));
+      txn.next = 1;
+      live[ta] = std::move(txn);
+    }
+    for (const Request& r : dispatched) {
+      if (r.op == txn::OpType::kCommit) {
+        ++committed;
+        live.erase(r.ta);
+        continue;
+      }
+      Txn& txn = live.at(r.ta);
+      const int64_t intrata = static_cast<int64_t>(txn.next) + 1;
+      if (txn.next < txn.objects.size()) {
+        batch.push_back(Op(r.ta, intrata,
+                           rng.Bernoulli(0.5) ? txn::OpType::kWrite
+                                              : txn::OpType::kRead,
+                           txn.objects[txn.next++]));
+      } else {
+        batch.push_back(
+            Op(r.ta, intrata, txn::OpType::kCommit, Request::kNoObject));
+      }
+    }
+    sharded.SubmitBatch(batch.data(), batch.size(), SimTime());
+    ASSERT_TRUE(sharded.RunUntilIdle(SimTime()).ok());
+    dispatched = sharded.TakeDispatched();
+  }
+  ASSERT_EQ(committed, kTxns) << "closed loop stalled";
+  const ShardedScheduler::Totals totals = sharded.totals();
+  EXPECT_EQ(totals.submitted, totals.dispatched);
+  EXPECT_EQ(totals.escrows, kTxns);
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    const auto* compiled = dynamic_cast<const ir::CompiledProtocol*>(
+        sharded.shard(s)->active_protocol());
+    ASSERT_NE(compiled, nullptr) << "shard " << s;
+    ASSERT_TRUE(compiled->uses_vec()) << "shard " << s;
+    EXPECT_EQ(compiled->mirror()->full_rebuilds(), 1) << "shard " << s;
+    EXPECT_EQ(compiled->lock_state().full_rebuilds(), 1) << "shard " << s;
+  }
 }
 
 // --- threaded mode ----------------------------------------------------------

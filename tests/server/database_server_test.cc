@@ -152,15 +152,16 @@ TEST(DatabaseServerTest, BatchSizeLimitEnforced) {
   EXPECT_EQ(server.total_statements(), 2);
 }
 
-TEST(DatabaseServerTest, NonMaterializedModeSkipsData) {
+TEST(DatabaseServerTest, MillionRowTableKeepsData) {
   DatabaseServer::Config config;
-  config.num_rows = 1000000;  // would be slow to materialize
-  config.materialize_rows = false;
+  config.num_rows = 1000000;  // flat rows: 8 MB, no per-row allocation
   DatabaseServer server(config);
   auto stats = server.ExecuteBatch({Stmt(OpType::kWrite, 999999)});
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats->writes, 1);
-  EXPECT_EQ(*server.RowValue(999999), 0);  // no data kept
+  EXPECT_EQ(*server.RowValue(999999), 1);
+  EXPECT_EQ(*server.RowValue(0), 0);
+  EXPECT_TRUE(server.RowValue(1000000).status().IsNotFound());
 }
 
 }  // namespace
