@@ -168,10 +168,8 @@ int main(int argc, char** argv) {
   Check(door.Start(), "front door start");
   std::printf(
       "== Net load: front door on 127.0.0.1:%u (http) / %u (binary, "
-      "%d reactors, %s), 2 shards ==\n\n",
-      door.port(), door.binary_port(), binary_reactors,
-      door.binary_server()->reuseport_active() ? "SO_REUSEPORT"
-                                               : "fd-handoff fallback");
+      "%d reactors), 2 shards ==\n\n",
+      door.port(), door.binary_port(), binary_reactors);
 
   std::vector<Phase> phases;
   auto run_phase = [&](const std::string& name, net::LoadTransport transport,

@@ -132,11 +132,8 @@ int main(int argc, char** argv) {
   std::printf("front door listening on 127.0.0.1:%u (%d shards, %s)\n",
               door.port(), shards, protocol.c_str());
   if (binary_port > 0) {
-    std::printf("binary wire server on 127.0.0.1:%u (%d reactors, %s)\n",
-                door.binary_port(), reactors,
-                door.binary_server()->reuseport_active()
-                    ? "SO_REUSEPORT"
-                    : "fd-handoff fallback");
+    std::printf("binary wire server on 127.0.0.1:%u (%d reactors)\n",
+                door.binary_port(), reactors);
   }
   std::printf("try: curl -s localhost:%u/v1/stats\n", door.port());
 

@@ -33,14 +33,15 @@ const char* StatusClass(int status) {
 FrontDoor::FrontDoor(Options options)
     : options_(std::move(options)),
       registry_(scheduler::ProtocolRegistry::BuiltIns()) {
-  requests_total_ = metrics_.GetCounter("frontdoor_requests_total",
-                                        "HTTP requests received");
-  responses_2xx_ = metrics_.GetCounter(
-      "frontdoor_responses_total", "HTTP responses by class", {{"class", "2xx"}});
-  responses_4xx_ = metrics_.GetCounter(
-      "frontdoor_responses_total", "HTTP responses by class", {{"class", "4xx"}});
-  responses_5xx_ = metrics_.GetCounter(
-      "frontdoor_responses_total", "HTTP responses by class", {{"class", "5xx"}});
+  requests_total_ = metrics_.GetCounter(
+      "frontdoor_requests_total", "Requests received on both transports");
+  const char* responses_help = "Responses by status class, both transports";
+  responses_2xx_ = metrics_.GetCounter("frontdoor_responses_total",
+                                       responses_help, {{"class", "2xx"}});
+  responses_4xx_ = metrics_.GetCounter("frontdoor_responses_total",
+                                       responses_help, {{"class", "4xx"}});
+  responses_5xx_ = metrics_.GetCounter("frontdoor_responses_total",
+                                       responses_help, {{"class", "5xx"}});
   throttled_tenant_ =
       metrics_.GetCounter("frontdoor_throttled_total",
                           "Submissions refused by admission control",

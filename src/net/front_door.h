@@ -1,8 +1,8 @@
 // FrontDoor: the network face of the declarative scheduling middleware.
 //
-// Wires the async HTTP server — and, when Options::binary is set, the
-// multi-reactor binary wire server (net/wire/) — to one ShardedScheduler +
-// DatabaseServer stack. Both transports feed the same submission core
+// Wires the connection server (net/connection_server.h) with its HTTP
+// codec — and, when Options::binary is set, a second one with the binary
+// wire codec (net/wire/) — to one ShardedScheduler + DatabaseServer stack. Both transports feed the same submission core
 // (SubmitWork): same admission order, same tenant buckets, same in-flight
 // cap, same response counters, so a batch admits and dispatches
 // identically whether it arrived as JSON or as a wire SUBMIT frame. The

@@ -1,7 +1,7 @@
 // End-to-end tests of the binary wire front door over real loopback
 // sockets: handshake enforcement, pipelining, FINISH draining, the exact
-// connection gauge, accept sharding on both topologies (SO_REUSEPORT and
-// the fd-handoff fallback), parser-error frames, admission 429 mapping —
+// connection gauge, SO_REUSEPORT accept sharding, parser-error frames,
+// the slow-client budget, dropped responders, admission 429 mapping —
 // and the transport-equivalence property: the same batch submitted as a
 // wire SUBMIT and as HTTP JSON produces the identical scheduler dispatch
 // outcome and identical acknowledgement counters.
@@ -9,6 +9,7 @@
 #include "net/wire/binary_server.h"
 
 #include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -270,7 +271,9 @@ TEST(BinaryServerTest, ConnectionGaugeIsExact) {
       clients.back()->Hello();
     }
     EXPECT_EQ(door.binary_server()->connections(), 8);
-    EXPECT_EQ(door.metrics().Value("wire_connections_open"), 8);
+    EXPECT_EQ(
+        door.metrics().Value("net_connections_open", {{"transport", "wire"}}),
+        8);
   }
   // All clients closed: the gauge must return to exactly zero.
   const auto deadline =
@@ -280,7 +283,9 @@ TEST(BinaryServerTest, ConnectionGaugeIsExact) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(door.binary_server()->connections(), 0);
-  EXPECT_EQ(door.metrics().Value("wire_connections_open"), 0);
+  EXPECT_EQ(
+      door.metrics().Value("net_connections_open", {{"transport", "wire"}}),
+      0);
   door.Shutdown();
 }
 
@@ -289,7 +294,6 @@ TEST(BinaryServerTest, AcceptShardingCoversAllConnections) {
   // one reactor and the per-reactor accept counters reconcile.
   FrontDoor door(BaseOptions(2));
   ASSERT_TRUE(door.Start().ok());
-  ASSERT_TRUE(door.binary_server()->reuseport_active());
   {
     std::vector<std::unique_ptr<WireClient>> clients;
     for (int i = 0; i < 16; ++i) {
@@ -305,34 +309,71 @@ TEST(BinaryServerTest, AcceptShardingCoversAllConnections) {
   door.Shutdown();
 }
 
-TEST(BinaryServerTest, FallbackAcceptHandsConnectionsAcrossReactors) {
-  // Forced fd-handoff: reactor 0 owns the single listener and distributes
-  // round-robin; submissions still work end to end on every reactor.
-  FrontDoor::Options options = BaseOptions(3);
-  options.binary->force_fallback_accept = true;
-  FrontDoor door(std::move(options));
-  ASSERT_TRUE(door.Start().ok());
-  ASSERT_FALSE(door.binary_server()->reuseport_active());
+TEST(BinaryServerTest, DroppedResponderYields500) {
+  wire::BinaryServer server(wire::BinaryServer::Options{});
+  ASSERT_TRUE(server
+                  .Start([](WireFrame, wire::BinaryServer::Responder) {
+                    // Responder dropped without Send: auto-500.
+                  })
+                  .ok());
+  WireClient client(server.port());
+  client.Hello();
+  for (const uint64_t id : {41u, 42u}) {
+    // The connection survives; the next request is answered (and 500s).
+    client.SendFrame(WireOp::kStats, id, "");
+    const WireFrame reply = client.ReadFrame();
+    EXPECT_EQ(reply.op, WireOp::kError);
+    EXPECT_EQ(reply.request_id, id);
+    EXPECT_EQ(reply.flags & wire::kFlagCloseAfter, 0);
+    wire::WireError error;
+    ASSERT_TRUE(wire::DecodeErrorBody(reply.body, &error).ok());
+    EXPECT_EQ(error.code, 500);
+  }
+  EXPECT_EQ(server.connections(), 1);
+  server.Shutdown();
+}
 
-  std::vector<std::unique_ptr<WireClient>> clients;
-  for (int i = 0; i < 6; ++i) {
-    clients.push_back(std::make_unique<WireClient>(door.binary_port()));
-    clients.back()->Hello();
-    clients.back()->SendFrame(WireOp::kSubmit, 1,
-                              SubmitBody({{i * 10, i * 10 + 5}}));
-    const WireFrame reply = clients.back()->ReadFrame();
-    EXPECT_EQ(reply.op, WireOp::kSubmitOk);
+TEST(BinaryServerTest, SlowClientIsClosedAtTheWriteBudget) {
+  // The client pipelines requests for large bodies and never reads: once
+  // the socket buffers fill, replies pile up in the server's write buffer,
+  // and past the budget the server drops the connection.
+  observability::MetricsRegistry metrics;
+  wire::BinaryServer::Options options;
+  options.max_write_buffer_bytes = 64 * 1024;
+  options.metrics = &metrics;
+  wire::BinaryServer server(options);
+  const std::string body(48 * 1024, 'x');
+  ASSERT_TRUE(server
+                  .Start([&body](WireFrame,
+                                 wire::BinaryServer::Responder responder) {
+                    responder.Send(WireOp::kStatsOk, body);
+                  })
+                  .ok());
+  testing::TestClient client(server.port());
+  const int rcvbuf = 4096;
+  ASSERT_EQ(setsockopt(client.fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                       sizeof(rcvbuf)),
+            0);
+  std::string burst;
+  AppendFrame(&burst, WireOp::kHello, 0, 0, wire::EncodeHelloBody());
+  for (uint64_t id = 1; id <= 400; ++id) {
+    AppendFrame(&burst, WireOp::kStats, 0, id, "");
   }
-  // Ownership is attributed to the adopting reactor: round-robin handoff
-  // spreads 6 connections as 2 per reactor, and the counters reconcile.
-  int64_t owned = 0;
-  for (int r = 0; r < 3; ++r) {
-    EXPECT_EQ(door.binary_server()->accepted_by_reactor(r), 2) << r;
-    owned += door.binary_server()->accepted_by_reactor(r);
-  }
-  EXPECT_EQ(owned, 6);
-  EXPECT_EQ(door.binary_server()->connections(), 6);
-  door.Shutdown();
+  client.SendRaw(burst);
+  // The counter moves just before the close, so wait for all three.
+  EXPECT_TRUE(testing::WaitUntil([&metrics, &server] {
+    return metrics.Value("net_slow_client_closes_total",
+                         {{"transport", "wire"}}) == 1 &&
+           server.connections() == 0 &&
+           metrics.Value("net_connections_open", {{"transport", "wire"}}) == 0;
+  }));
+  EXPECT_EQ(
+      metrics.Value("net_slow_client_closes_total", {{"transport", "wire"}}),
+      1);
+  EXPECT_EQ(server.connections(), 0);
+  EXPECT_EQ(metrics.Value("net_connections_open", {{"transport", "wire"}}),
+            0);
+  server.Shutdown();
 }
 
 TEST(BinaryServerTest, HandshakeViolationsGetTypedErrorsAndClose) {

@@ -6,30 +6,19 @@
 
 #include "net/front_door.h"
 
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <atomic>
 #include <memory>
 #include <string>
 
 #include "gtest/gtest.h"
 #include "net/net_test_util.h"
 #include "scheduler/protocol_library.h"
+#include "test_util.h"
 
 namespace declsched::net {
 namespace {
 
+using declsched::testing::ScopedTempDir;
 using testing::TestClient;
-
-std::string MakeTempDir() {
-  static std::atomic<int> counter{0};
-  std::string dir =
-      "front_door_recovery_test_tmp_" + std::to_string(::getpid()) + "_" +
-      std::to_string(counter.fetch_add(1));
-  ::mkdir(dir.c_str(), 0755);
-  return dir;
-}
 
 FrontDoor::Options DurableOptions(const std::string& dir) {
   FrontDoor::Options options;
@@ -42,7 +31,8 @@ FrontDoor::Options DurableOptions(const std::string& dir) {
 }
 
 TEST(FrontDoorRecoveryTest, RecoveringModeGates503ThenFlipsToReady) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   FrontDoor::Options options = DurableOptions(dir);
   // The barrier runs inside Start() after the HTTP server is listening but
   // before recovery — the exact window clients can observe on a restart.
@@ -78,7 +68,8 @@ TEST(FrontDoorRecoveryTest, RecoveringModeGates503ThenFlipsToReady) {
 }
 
 TEST(FrontDoorRecoveryTest, CleanShutdownCheckpointSkipsReplayOnRestart) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   {
     FrontDoor door(DurableOptions(dir));
     ASSERT_TRUE(door.Start().ok());
@@ -106,7 +97,8 @@ TEST(FrontDoorRecoveryTest, CleanShutdownCheckpointSkipsReplayOnRestart) {
 }
 
 TEST(FrontDoorRecoveryTest, DirtyRestartReplaysAndResumesTransactionIds) {
-  const std::string dir = MakeTempDir();
+  const ScopedTempDir temp_dir;
+  const std::string& dir = temp_dir.path();
   {
     // Crash-style first run: a bare durable scheduler (FrontDoor's own
     // teardown always checkpoints — a real crash does not). The WAL on

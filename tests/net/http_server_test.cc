@@ -1,14 +1,19 @@
 // HttpServer behavior over real loopback sockets: pipelined response
 // ordering, deferred responders, parser-error responses, the connection
-// cap, and dropped-responder recovery.
+// cap, dropped-responder recovery, the slow-client budget, and accept
+// sharding over several reactors.
 
 #include "net/http_server.h"
+
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,6 +23,16 @@ namespace declsched::net {
 namespace {
 
 using testing::TestClient;
+using testing::WaitUntil;
+
+/// Shrinks the client's receive buffer so the server's replies back up
+/// into its own write buffer after a few kilobytes.
+void ShrinkReceiveBuffer(TestClient* client) {
+  const int bytes = 4096;
+  ASSERT_EQ(setsockopt(client->fd(), SOL_SOCKET, SO_RCVBUF, &bytes,
+                       sizeof(bytes)),
+            0);
+}
 
 /// Starts a server whose handler echoes the request target in the body.
 class EchoServerTest : public ::testing::Test {
@@ -182,6 +197,136 @@ TEST(HttpServerTest, ManyConcurrentConnections) {
   }
   EXPECT_EQ(handled.load(), kConns);
   EXPECT_EQ(server.connections(), kConns);
+  server.Shutdown();
+}
+
+TEST(HttpServerTest, SlowClientIsClosedAtTheWriteBudget) {
+  // The client pipelines requests for large bodies and never reads: once
+  // the socket buffers fill, replies pile up in the server's write buffer,
+  // and past the budget the server drops the connection.
+  observability::MetricsRegistry metrics;
+  HttpServer::Options options;
+  options.max_write_buffer_bytes = 64 * 1024;
+  options.metrics = &metrics;
+  HttpServer server(options);
+  const std::string body(48 * 1024, 'x');
+  ASSERT_TRUE(server
+                  .Start([&body](HttpRequest, HttpServer::Responder responder) {
+                    responder.Send(HttpResponse::Json(200, body));
+                  })
+                  .ok());
+  TestClient client(server.port());
+  ShrinkReceiveBuffer(&client);
+  std::string burst;
+  for (int i = 0; i < 400; ++i) burst += "GET / HTTP/1.1\r\n\r\n";
+  client.SendRaw(burst);
+  // The counter moves just before the close, so wait for all three.
+  EXPECT_TRUE(WaitUntil([&metrics, &server] {
+    return metrics.Value("net_slow_client_closes_total",
+                         {{"transport", "http"}}) == 1 &&
+           server.connections() == 0 &&
+           metrics.Value("net_connections_open", {{"transport", "http"}}) == 0;
+  }));
+  EXPECT_EQ(
+      metrics.Value("net_slow_client_closes_total", {{"transport", "http"}}),
+      1);
+  EXPECT_EQ(server.connections(), 0);
+  EXPECT_EQ(metrics.Value("net_connections_open", {{"transport", "http"}}),
+            0);
+  server.Shutdown();
+}
+
+TEST(HttpServerTest, PeerResetWithRepliesQueuedLeavesServerUp) {
+  // Replies back up in the write buffer (the budget is large), then the
+  // client resets the connection. The server must drop the connection;
+  // writing to the dead socket must not raise SIGPIPE and kill the process.
+  HttpServer::Options options;
+  options.max_write_buffer_bytes = 64 * 1024 * 1024;
+  HttpServer server(options);
+  const std::string body(64 * 1024, 'x');
+  ASSERT_TRUE(server
+                  .Start([&body](HttpRequest, HttpServer::Responder responder) {
+                    responder.Send(HttpResponse::Json(200, body));
+                  })
+                  .ok());
+  {
+    TestClient client(server.port());
+    ShrinkReceiveBuffer(&client);
+    std::string burst;
+    for (int i = 0; i < 200; ++i) burst += "GET / HTTP/1.1\r\n\r\n";
+    client.SendRaw(burst);
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    ASSERT_EQ(server.connections(), 1);
+    const linger reset{1, 0};  // close() sends RST
+    ASSERT_EQ(setsockopt(client.fd(), SOL_SOCKET, SO_LINGER, &reset,
+                         sizeof(reset)),
+              0);
+  }
+  EXPECT_TRUE(WaitUntil([&server] { return server.connections() == 0; }));
+  TestClient next(server.port());
+  EXPECT_EQ(next.Get("/alive").status, 200);
+  server.Shutdown();
+}
+
+TEST(HttpServerTest, ThreeReactorsShareAcceptsAndKeepPipelineOrder) {
+  // Each reactor binds its own SO_REUSEPORT listener; the kernel spreads
+  // connections across them. Responses completed from another thread, in
+  // reverse, still leave each connection in pipeline order.
+  HttpServer::Options options;
+  options.reactor_threads = 3;
+  HttpServer server(options);
+  std::mutex mu;
+  std::vector<std::pair<std::string, HttpServer::Responder>> held;
+  ASSERT_TRUE(server
+                  .Start([&mu, &held](HttpRequest request,
+                                      HttpServer::Responder responder) {
+                    std::lock_guard<std::mutex> lock(mu);
+                    held.emplace_back(request.Path(), std::move(responder));
+                  })
+                  .ok());
+  constexpr int kConns = 48;
+  constexpr int kDepth = 4;
+  std::vector<std::unique_ptr<TestClient>> clients;
+  for (int c = 0; c < kConns; ++c) {
+    clients.push_back(std::make_unique<TestClient>(server.port()));
+    std::string wire;
+    for (int i = 0; i < kDepth; ++i) {
+      wire += "GET /c" + std::to_string(c) + "/r" + std::to_string(i) +
+              " HTTP/1.1\r\nHost: t\r\n\r\n";
+    }
+    clients.back()->SendRaw(wire);
+  }
+  ASSERT_TRUE(WaitUntil([&mu, &held] {
+    std::lock_guard<std::mutex> lock(mu);
+    return held.size() == static_cast<size_t>(kConns * kDepth);
+  }));
+  EXPECT_EQ(server.connections(), kConns);
+  int64_t accepted = 0;
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_GT(server.accepted_by_reactor(r), 0) << "reactor " << r;
+    accepted += server.accepted_by_reactor(r);
+  }
+  EXPECT_EQ(accepted, kConns);
+
+  std::thread completer([&held] {
+    for (auto it = held.rbegin(); it != held.rend(); ++it) {
+      it->second.Send(
+          HttpResponse::Json(200, "{\"path\":\"" + it->first + "\"}"));
+    }
+  });
+  completer.join();
+  for (int c = 0; c < kConns; ++c) {
+    for (int i = 0; i < kDepth; ++i) {
+      const auto response = clients[static_cast<size_t>(c)]->ReadResponse();
+      const std::string want =
+          "/c" + std::to_string(c) + "/r" + std::to_string(i) + "\"";
+      EXPECT_NE(response.body.find(want), std::string::npos)
+          << "connection " << c << " response " << i << ": " << response.body;
+    }
+  }
+  held.clear();
+  clients.clear();
+  EXPECT_TRUE(WaitUntil([&server] { return server.connections() == 0; }));
   server.Shutdown();
 }
 

@@ -11,12 +11,26 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 
 #include "gtest/gtest.h"
 #include "net/http.h"
 
 namespace declsched::net::testing {
+
+/// Polls `done` every few milliseconds until it holds or 5 s pass; returns
+/// its last value.
+template <typename Pred>
+bool WaitUntil(Pred done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return done();
+}
 
 class TestClient {
  public:

@@ -22,6 +22,7 @@
 #include "scenario/scenario_spec.h"
 #include "scenario/synthesizer.h"
 #include "scheduler/protocol_library.h"
+#include "test_util.h"
 
 namespace declsched::scenario {
 namespace {
@@ -175,7 +176,6 @@ TEST(ScenarioSoakTest, CrashOverlayRecoversAndKeepsInvariants) {
   ScenarioSpec spec = std::move(found).ValueOrDie();
   spec.txns = 80;
   spec.crash_ticks = {6, 14};
-  int trial = 0;
   for (uint64_t seed : {9001u, 9002u}) {
     ScenarioSynthesizer synth(spec, seed);
     Result<ScenarioTrace> trace = synth.Synthesize();
@@ -183,8 +183,10 @@ TEST(ScenarioSoakTest, CrashOverlayRecoversAndKeepsInvariants) {
     ScenarioRunnerOptions options = MakeOptions(/*sharded=*/true, Policy::kAdaptive);
     options.durability.enabled = true;
     options.durability.fsync = false;  // page-cache durability is plenty here
-    options.durability.dir = ::testing::TempDir() + "/scenario_crash_" +
-                             std::to_string(seed) + "_" + std::to_string(trial++);
+    // A fresh directory per trial: recovering from an earlier run's WAL
+    // would make one aborted run fail the next.
+    const testing::ScopedTempDir temp_dir;
+    options.durability.dir = temp_dir.path();
     Result<ScenarioOutcome> outcome = RunScenario(trace.ValueOrDie(), options);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_EQ(outcome.ValueOrDie().crashes, 2);

@@ -3,8 +3,14 @@
 #ifndef DECLSCHED_TESTS_TEST_UTIL_H_
 #define DECLSCHED_TESTS_TEST_UTIL_H_
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
+#include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -12,6 +18,31 @@
 #include "storage/catalog.h"
 
 namespace declsched::testing {
+
+/// A fresh directory under the test temp dir, unique per process and per
+/// instance, removed with everything in it when the object goes out of
+/// scope. A run that dies before that leaves it behind, but no later run
+/// can pick it up.
+class ScopedTempDir {
+ public:
+  ScopedTempDir() : path_(::testing::TempDir() + "declsched_XXXXXX") {
+    if (::mkdtemp(path_.data()) == nullptr) {
+      ADD_FAILURE() << "mkdtemp " << path_ << ": " << std::strerror(errno);
+    }
+  }
+  ~ScopedTempDir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+
+  ScopedTempDir(const ScopedTempDir&) = delete;
+  ScopedTempDir& operator=(const ScopedTempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
 
 /// Renders each result row as "v1|v2|..." and sorts, for order-insensitive
 /// comparison.

@@ -13,6 +13,12 @@
 # that catches docs quoting renamed or deleted API. Single-hump names
 # (Protocol, Status) are deliberately skipped: too many generic words.
 #
+# Metric table check, both directions: every string literal passed to
+# GetCounter / GetGauge / GetHistogram under src/ (the call may span
+# lines) must name a row of a metric table in docs/OBSERVABILITY.md — a
+# table whose header starts `| Series |` — and every name in the first
+# cell of such a row must be registered under src/.
+#
 # Run from anywhere:
 #   tools/check_docs_links.sh [repo-root]
 
@@ -83,9 +89,54 @@ for doc in README.md docs/*.md; do
   IFS=$old_ifs
 done
 
+# Registered names: each file is scanned as one line, so a literal on the
+# line after its GetCounter( still counts.
+registered=$(find src -name '*.cc' -o -name '*.h' | sort | xargs awk '
+  function scan(text) {
+    while (match(text, /Get(Counter|Gauge|Histogram)\([ \t]*"[^"]*"/)) {
+      call = substr(text, RSTART, RLENGTH)
+      sub(/^[^"]*"/, "", call)
+      sub(/"$/, "", call)
+      print call
+      text = substr(text, RSTART + RLENGTH)
+    }
+  }
+  FNR == 1 && NR > 1 { scan(text); text = "" }
+  { text = text " " $0 }
+  END { scan(text) }' | sort -u)
+documented=$(awk '
+  /^\| *Series *\|/ { table = 1; next }
+  !/^\|/ { table = 0 }
+  table {
+    split($0, cells, "|")
+    cell = cells[2]
+    while (match(cell, /`[a-z_][a-z0-9_]*`/)) {
+      print substr(cell, RSTART + 1, RLENGTH - 2)
+      cell = substr(cell, RSTART + RLENGTH)
+    }
+  }' docs/OBSERVABILITY.md | sort -u)
+metrics_checked=0
+for name in $registered; do
+  if ! printf '%s\n' "$documented" | grep -qxF "$name"; then
+    echo "UNDOCUMENTED METRIC: '$name' is registered under src/ but has no row in docs/OBSERVABILITY.md" >&2
+    status=1
+  fi
+  metrics_checked=$((metrics_checked + 1))
+done
+for name in $documented; do
+  if ! printf '%s\n' "$registered" | grep -qxF "$name"; then
+    echo "STALE METRIC ROW in docs/OBSERVABILITY.md: '$name' is not registered under src/" >&2
+    status=1
+  fi
+done
+
+if [ "$metrics_checked" -eq 0 ]; then
+  echo "docs lint: no metric registrations found — check the extraction pattern" >&2
+  exit 2
+fi
 if [ "$checked" -eq 0 ]; then
   echo "docs lint: no links found — check the extraction pattern" >&2
   exit 2
 fi
-echo "docs lint: $checked relative links checked, $idents_checked snippet identifiers checked"
+echo "docs lint: $checked relative links checked, $idents_checked snippet identifiers checked, $metrics_checked metric names checked"
 exit $status
