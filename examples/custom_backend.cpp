@@ -39,7 +39,7 @@ class OldestFirstProtocol : public Protocol {
       : Protocol(std::move(spec)), store_(store) {}
 
   Result<RequestBatch> Schedule(const ScheduleContext& context) const override {
-    // The store's typed mirror is the zero-copy way to read pending.
+    // The store's typed relation is the zero-copy way to read pending.
     RequestBatch pending;
     pending.reserve(context.store->pending_by_id().size());
     for (const auto& [id, request] : context.store->pending_by_id()) {

@@ -7,9 +7,8 @@
 // Then, from another terminal:
 //
 //   curl -s localhost:8080/v1/stats
-//   curl -s -X POST localhost:8080/v1/submit -d \
-//     '{"tenant":1,"txns":[{"ops":[{"op":"write","object":3},
-//                                  {"op":"write","object":9}]}]}'
+//   curl -s -X POST localhost:8080/v1/submit -d '{"tenant":1,"txns":[
+//     {"ops":[{"op":"write","object":3},{"op":"write","object":9}]}]}'
 //   curl -s localhost:8080/metrics | head
 //   curl -s -X POST localhost:8080/v1/admin/protocol -d '{"protocol":"edf-sql"}'
 //

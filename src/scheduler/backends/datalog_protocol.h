@@ -4,7 +4,7 @@
 // language").
 //
 // Compile-first: the rule AST is lowered into the protocol IR
-// (scheduler/ir/) and executed over the store's typed mirrors with
+// (scheduler/ir/) and executed over the store's typed relations with
 // incremental lock state. Programs outside the IR dialect fall back
 // transparently to the semi-naive interpreted engine; prefixing the spec
 // text with "interp:" forces the interpreter, the differential-oracle

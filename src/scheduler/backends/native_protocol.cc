@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/string_util.h"
-#include "storage/table.h"
 
 namespace declsched::scheduler {
 
@@ -42,8 +41,8 @@ class NativeProtocol : public Protocol {
       // holds no state for.
       return ScheduleFromScratch(context);
     }
-    // Incremental fast path. Pending comes off the store's typed mirror —
-    // already decoded, already in id order (the mirror is keyed by id).
+    // Incremental fast path. Pending comes off the store's typed relation —
+    // already decoded, already in id order (the relation is keyed by id).
     RequestBatch pending;
     const auto& mirror = context.store->pending_by_id();
     pending.reserve(mirror.size());
@@ -95,17 +94,11 @@ class NativeProtocol : public Protocol {
     return qualified;
   }
 
-  /// The pre-incremental formulation: decode pending from the table rows,
-  /// rebuild the lock table from a full history scan, restricted to the
-  /// objects pending actually touches.
+  /// The pre-incremental formulation: copy all of pending, rebuild the lock
+  /// table from a full history scan, restricted to the objects pending
+  /// actually touches.
   Result<RequestBatch> ScheduleFromScratch(const ScheduleContext& context) const {
-    RequestBatch pending;
-    pending.reserve(static_cast<size_t>(context.store->pending_count()));
-    const storage::Table* requests = context.store->catalog()->GetTable("requests");
-    requests->ForEach([&](storage::RowId, const storage::Row& row) {
-      pending.push_back(RequestStore::RowToRequestFull(row));
-    });
-    RankById(&pending);
+    DS_ASSIGN_OR_RETURN(RequestBatch pending, context.store->AllPending());
     if (variant_ == Variant::kFcfs) return pending;
 
     std::unordered_set<ObjectId> pending_objects;

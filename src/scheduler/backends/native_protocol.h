@@ -14,12 +14,12 @@
 //                  cap or empty token bucket), dispatch by id
 //
 // The tenant-aware variants read the per-tenant QoS state off the store's
-// `tenants` relation (typed mirror) — the same rows the SQL/Datalog
+// typed `tenants` relation — the same rows the SQL/Datalog
 // formulations join against — so all four formulations answer identically
 // by construction; see docs/PROTOCOLS.md.
 //
 // The backend is *incremental*: it reads pending straight off the store's
-// typed mirror (no row decoding) and keeps a LockTableState fed by the
+// typed relation (no row decoding) and keeps a LockTableState fed by the
 // scheduler's delta hooks, so a cycle costs O(pending + delta) rather than
 // O(pending + history). Prefixing the variant with "scratch:" (e.g.
 // "scratch:ss2pl") compiles the pre-incremental formulation instead — a

@@ -36,8 +36,11 @@ class InterpretedSqlProtocol : public Protocol {
           "protocol " + spec_.name +
           ": scheduled against a different store than it was compiled for");
     }
+    // The prepared plan reads the catalog's tables, a view of the typed
+    // relations that only a sync brings up to date.
+    bound_store_->SyncCatalog();
     DS_ASSIGN_OR_RETURN(sql::QueryResult result, prepared_.Run());
-    // One shared decode+SLA-join pass over the typed pending mirror.
+    // One shared decode+SLA-join pass over the typed pending relation.
     DS_ASSIGN_OR_RETURN(RequestBatch batch,
                         context.store->RowsToRequests(result.rows, cols_));
     if (!spec_.ordered) RankById(&batch);

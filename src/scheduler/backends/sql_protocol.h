@@ -2,7 +2,7 @@
 // relations (paper Listing 1 style).
 //
 // Compile-first: the planned SELECT is lowered into the protocol IR
-// (scheduler/ir/) and executed over the store's typed mirrors with
+// (scheduler/ir/) and executed over the store's typed relations with
 // incremental lock state — per-cycle cost like the hand-coded native
 // backend. Queries outside the IR dialect fall back transparently to the
 // interpreted engine (prepared once, re-run every cycle); prefixing the

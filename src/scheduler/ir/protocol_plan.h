@@ -8,7 +8,7 @@
 // accounting for fairness keys, rank, limit. SQL SELECTs (via the planner's
 // physical plan) and Datalog programs (via the rule AST) are *lowered* into
 // this IR once at compile time; every cycle then executes the plan directly
-// over RequestStore's typed mirrors and an incremental LockTableState — no
+// over RequestStore's typed relations and an incremental LockTableState — no
 // per-row Value decode, no EDB copy, no re-derivation of lock state. The
 // interpreted engines stay in-tree behind the "interp:" spec-text prefix as
 // differential oracles (the `scratch:ss2pl` precedent).

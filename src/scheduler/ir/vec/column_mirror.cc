@@ -3,15 +3,13 @@
 namespace declsched::scheduler::ir::vec {
 
 const PendingColumns& ColumnarMirror::RefreshPending(const RequestStore& store) {
-  // Touch the typed mirror first: it heals out-of-band table edits and
-  // bumps the pending epoch when it does, so the staleness check below
-  // cannot miss them. O(1) when the store mirror is already current.
-  const auto& by_id = store.pending_by_id();
+  // The store's epoch and version accessors absorb out-of-band table edits
+  // first (bumping the pending epoch when they do), so the staleness check
+  // cannot miss them.
   if (pending_synced_with(store)) {
     MaybeCompact();
     return pending_;
   }
-  (void)by_id;
   RebuildPending(store);
   return pending_;
 }
@@ -144,13 +142,9 @@ void ColumnarMirror::OnScheduled(const RequestBatch& batch,
 }
 
 const TenantColumns& ColumnarMirror::RefreshTenants(const RequestStore& store) {
-  // tenants_by_id() heals out-of-band edits into the typed mirror (the
-  // version then reflects the healed table), so reading it first keeps one
-  // rebuild from hiding another.
-  const auto& by_id = store.tenants_by_id();
   if (tenants_version_ == store.tenants_version()) return tenants_;
   tenants_.Clear();
-  for (const auto& [tenant, acct] : by_id) {
+  for (const auto& [tenant, acct] : store.tenants_by_id()) {
     tenants_.PushBack(acct.tenant, acct.vtime, acct.round, acct.Throttled());
   }
   tenants_version_ = store.tenants_version();

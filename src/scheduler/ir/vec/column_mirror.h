@@ -4,17 +4,13 @@
 //
 // Sync contract (pending): each RequestStore pending mutation bumps the
 // store's pending epoch exactly once, the scheduler narrates it through
-// exactly one hook immediately after making it, and the requests table's
-// content version moves on every edit however invoked. OnAdmitted /
-// OnScheduled accept a delta iff the store is exactly one narrated epoch
-// ahead AND the table version moved by exactly the narrated row count;
-// anything else (missed mutation, out-of-band DML, a fresh instance after
-// SwitchProtocol) drops to unsynced and the next RefreshPending() rebuilds
-// from the store's typed mirror. Rows are identified by value (id), never
-// by storage::RowId — which is what makes the mirror immune to the table's
-// auto-vacuum row compaction (Vacuum() remaps RowIds without bumping the
-// content version, so a RowId-keyed mirror would silently read remapped
-// slots; an id-keyed one cannot).
+// exactly one hook immediately after making it, and pending's content
+// version moves on every edit however invoked. OnAdmitted / OnScheduled
+// accept a delta iff the store is exactly one narrated epoch ahead AND the
+// version moved by exactly the narrated row count; anything else (missed
+// mutation, out-of-band DML, a fresh instance after SwitchProtocol) drops
+// to unsynced and the next RefreshPending() rebuilds from the store's typed
+// pending relation. Rows are identified by value (id), never by position.
 //
 // Dispatch tombstones rows instead of erasing (erasure from column middles
 // is O(pending) per row); RefreshPending compacts when tombstones outnumber
@@ -22,7 +18,7 @@
 //
 // Tenants have no narrated delta hook (the TenantAccountant upserts rows
 // between hooks), so that mirror is purely version-keyed: RefreshTenants()
-// rebuilds whenever the tenants table's content version moved. Tenant
+// rebuilds whenever the tenants relation's content version moved. Tenant
 // counts are orders of magnitude below request counts, so the rebuild is
 // cheap; the counter is exposed for tests anyway.
 //
@@ -47,7 +43,7 @@ class ColumnarMirror {
   const PendingColumns& RefreshPending(const RequestStore& store);
 
   /// The tenant columns answering for the store's current tenants relation
-  /// (rebuilt iff the table's content version moved since the last call).
+  /// (rebuilt iff the relation's content version moved since the last call).
   const TenantColumns& RefreshTenants(const RequestStore& store);
 
   /// Delta: `batch` was just admitted into pending (ids ascending, above
@@ -83,9 +79,9 @@ class ColumnarMirror {
   PendingColumns pending_;
   TenantColumns tenants_;
   uint64_t synced_epoch_ = kUnsynced;
-  /// Requests table content version at the last sync point.
+  /// Pending's content version at the last sync point.
   uint64_t synced_version_ = 0;
-  /// Sentinel-initialized: table versions start at 0 and the first refresh
+  /// Sentinel-initialized: versions start at 0 and the first refresh
   /// must materialize the (possibly empty) relation.
   uint64_t tenants_version_ = ~uint64_t{0};
   int64_t full_rebuilds_ = 0;

@@ -37,7 +37,7 @@ int32_t FilterSel(const PendingColumns& cols, const FieldPredicate* preds,
 
 /// Pending-pending conflict summary over every live row — the full pending
 /// universe, exactly what the scalar executor derives from the store's
-/// typed mirror (termination markers included; their kNoObject entries only
+/// typed relation (termination markers included; their kNoObject entries only
 /// ever match other markers).
 void BuildPendingConflicts(const PendingColumns& cols, PendingConflicts* out);
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "storage/table.h"
-
 namespace declsched::scheduler {
 
 namespace {
@@ -72,9 +70,8 @@ PendingConflicts::PendingConflicts(
 LockTable BuildLockTableRestricted(
     RequestStore* store, const std::unordered_set<ObjectId>* relevant) {
   LockTable locks;
-  const storage::Table* history = store->catalog()->GetTable("history");
 
-  // Single table scan into a compact op list; the lock sets need a second
+  // Single history scan into a compact op list; the lock sets need a second
   // pass because finished/wrote facts may arrive after the rows they gate.
   struct HistOp {
     txn::OpType op;
@@ -83,18 +80,14 @@ LockTable BuildLockTableRestricted(
   };
   std::vector<HistOp> ops;
   std::unordered_map<ObjectId, std::vector<TxnId>> wrote;
-  history->ForEach([&](storage::RowId, const storage::Row& row) {
-    const txn::OpType op =
-        RequestStore::ParseOperation(row[RequestStore::kColOperation].AsString());
-    const TxnId ta = row[RequestStore::kColTa].AsInt64();
-    if (op == txn::OpType::kCommit || op == txn::OpType::kAbort) {
-      locks.finished.insert(ta);
+  store->ForEachHistory([&](const Request& r) {
+    if (r.op == txn::OpType::kCommit || r.op == txn::OpType::kAbort) {
+      locks.finished.insert(r.ta);
       return;
     }
-    const ObjectId object = row[RequestStore::kColObject].AsInt64();
-    if (relevant != nullptr && relevant->count(object) == 0) return;
-    if (op == txn::OpType::kWrite) InsertHolder(&wrote, object, ta);
-    ops.push_back(HistOp{op, ta, object});
+    if (relevant != nullptr && relevant->count(r.object) == 0) return;
+    if (r.op == txn::OpType::kWrite) InsertHolder(&wrote, r.object, r.ta);
+    ops.push_back(HistOp{r.op, r.ta, r.object});
   });
 
   for (const HistOp& h : ops) {
@@ -206,7 +199,6 @@ void LockTableState::ReleaseTransaction(TxnId ta) {
 void LockTableState::Rebuild(const RequestStore& store) {
   table_ = LockTable{};
   txn_locks_.clear();
-  const storage::Table* history = store.catalog()->GetTable("history");
   // Same two-pass derivation as BuildLockTable, routed through ApplyRow so
   // the per-transaction lock sets are populated for later releases. Rows
   // are replayed termination-markers-first, then writes, then reads —
@@ -218,17 +210,13 @@ void LockTableState::Rebuild(const RequestStore& store) {
   };
   std::vector<HistOp> reads;
   std::vector<HistOp> writes;
-  history->ForEach([&](storage::RowId, const storage::Row& row) {
-    const txn::OpType op =
-        RequestStore::ParseOperation(row[RequestStore::kColOperation].AsString());
-    const TxnId ta = row[RequestStore::kColTa].AsInt64();
-    const ObjectId object = row[RequestStore::kColObject].AsInt64();
-    if (op == txn::OpType::kCommit || op == txn::OpType::kAbort) {
-      ApplyRow(op, ta, object);
-    } else if (op == txn::OpType::kWrite) {
-      writes.push_back(HistOp{op, ta, object});
+  store.ForEachHistory([&](const Request& r) {
+    if (r.op == txn::OpType::kCommit || r.op == txn::OpType::kAbort) {
+      ApplyRow(r.op, r.ta, r.object);
+    } else if (r.op == txn::OpType::kWrite) {
+      writes.push_back(HistOp{r.op, r.ta, r.object});
     } else {
-      reads.push_back(HistOp{op, ta, object});
+      reads.push_back(HistOp{r.op, r.ta, r.object});
     }
   });
   for (const HistOp& h : writes) ApplyRow(h.op, h.ta, h.object);

@@ -18,7 +18,7 @@
 // locks. Epoch invariant it relies on: the store bumps its history epoch
 // exactly once per mutating call, the scheduler narrates that mutation
 // through exactly one hook immediately after making it, and the paired
-// content-version counter moves on every table edit however invoked —
+// content-version counter moves on every edit however invoked —
 // which is what lets ApplyHistoryAppend/ApplyFinished accept a delta iff
 // the store is exactly one narrated step ahead, and Refresh() catch
 // everything else (including a cross-shard escrow mirror applied without
@@ -47,7 +47,7 @@ struct LockTable {
   std::unordered_map<txn::ObjectId, std::vector<txn::TxnId>> rlocks;
 };
 
-/// From-scratch derivation: one full scan of the store's history table.
+/// From-scratch derivation: one full scan of the store's history.
 /// The reference implementation the incremental state is tested against.
 LockTable BuildLockTable(RequestStore* store);
 
@@ -67,8 +67,8 @@ LockTable BuildLockTableRestricted(
 /// delta only when the store is exactly one epoch ahead of the last synced
 /// state; anything else (missed mutation, a fresh instance after
 /// SwitchProtocol) marks the state unsynced and the next Refresh() rebuilds
-/// from scratch. The epoch is paired with the history table's content
-/// version (which moves on *every* edit, epoch-bumping or not), so
+/// from scratch. The epoch is paired with history's content version
+/// (which moves on *every* edit, epoch-bumping or not), so
 /// out-of-band writes — ad-hoc SQL DML, a store error path that bailed
 /// early — are also caught at the next Refresh().
 class LockTableState {
@@ -99,7 +99,7 @@ class LockTableState {
   /// Sentinel: below any real store epoch (stores start at 1).
   static constexpr uint64_t kUnsynced = 0;
   /// Passed to AcceptDelta when the caller cannot predict the post-mutation
-  /// table version (GC does not narrate its row count).
+  /// version (GC does not narrate its row count).
   static constexpr uint64_t kAnyVersion = ~uint64_t{0};
 
   struct TxnLocks {
@@ -108,7 +108,7 @@ class LockTableState {
   };
 
   /// True if the store is exactly one narrated mutation ahead (and, when
-  /// predictable, the table version moved by exactly that mutation);
+  /// predictable, the version moved by exactly that mutation);
   /// otherwise drops to unsynced.
   bool AcceptDelta(const RequestStore& store, uint64_t expected_version);
   void ApplyRow(txn::OpType op, txn::TxnId ta, txn::ObjectId object);
@@ -120,7 +120,7 @@ class LockTableState {
   /// releasing a finished transaction O(its own locks).
   std::unordered_map<txn::TxnId, TxnLocks> txn_locks_;
   uint64_t synced_epoch_ = kUnsynced;
-  /// History table content version at the last sync point.
+  /// History's content version at the last sync point.
   uint64_t synced_version_ = 0;
   int64_t full_rebuilds_ = 0;
   int64_t deltas_applied_ = 0;
@@ -136,7 +136,7 @@ struct PendingConflicts {
   std::unordered_map<txn::ObjectId, txn::TxnId> oldest_write;
 
   explicit PendingConflicts(const RequestBatch& pending);
-  /// Same derivation straight off the store's typed pending mirror.
+  /// Same derivation straight off the store's typed pending relation.
   explicit PendingConflicts(const std::map<int64_t, Request>& pending_by_id);
 
   bool OlderWriteExists(const Request& r) const {

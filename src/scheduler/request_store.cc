@@ -50,6 +50,11 @@ bool IsTerminationMarker(txn::OpType op) {
   return op == txn::OpType::kCommit || op == txn::OpType::kAbort;
 }
 
+/// Rows the store encodes itself always match the schema.
+void InsertViewRow(storage::Table* table, Row row) {
+  DS_CHECK_OK(table->Insert(std::move(row)).status());
+}
+
 }  // namespace
 
 void RequestStore::AttachWal(storage::Wal* wal, uint16_t shard) {
@@ -76,14 +81,9 @@ txn::OpType RequestStore::ParseOperation(const std::string& op) {
 }
 
 RequestStore::RequestStore() : engine_(&catalog_) {
-  requests_ = catalog_.CreateTable("requests", RequestSchema()).ValueOrDie();
-  history_ = catalog_.CreateTable("history", RequestSchema()).ValueOrDie();
-  tenants_ = catalog_.CreateTable("tenants", TenantSchema()).ValueOrDie();
-  // Point lookups by id (MarkScheduled), GC by ta, and tenant upserts
-  // benefit from indexes.
-  DS_CHECK_OK(requests_->CreateIndex("id"));
-  DS_CHECK_OK(history_->CreateIndex("ta"));
-  DS_CHECK_OK(tenants_->CreateIndex("tenant"));
+  requests_.table = catalog_.CreateTable("requests", RequestSchema()).ValueOrDie();
+  history_.table = catalog_.CreateTable("history", RequestSchema()).ValueOrDie();
+  tenants_.table = catalog_.CreateTable("tenants", TenantSchema()).ValueOrDie();
 }
 
 storage::Row RequestStore::ToRow(const Request& request) {
@@ -140,25 +140,83 @@ TenantAcct RequestStore::RowToTenant(const storage::Row& row) {
   return a;
 }
 
-void RequestStore::EnsureMirror() const {
+void RequestStore::AbsorbPending() const {
   // Version equality is exact: every content mutation of the table bumps
-  // it, so both out-of-band edits (ad-hoc SQL DML, count-preserving
-  // UPDATEs included) and this store's own error paths that bailed before
-  // recording the version land here and heal.
-  if (mirror_version_ == requests_->version()) return;
+  // it, so any out-of-band edit — count-preserving UPDATEs included — lands
+  // here. Duplicate ids keep their first row, as a keyed relation must.
+  const uint64_t now = requests_.table->version();
+  if (now == requests_.written) return;
   pending_by_id_.clear();
-  requests_->ForEach([&](RowId, const Row& row) {
+  requests_.table->ForEach([&](RowId, const Row& row) {
     Request r = RowToRequestFull(row);
     pending_by_id_.emplace(r.id, std::move(r));
   });
-  mirror_version_ = requests_->version();
+  pending_version_ += now - requests_.written;
   ++pending_epoch_;
+  requests_.Absorbed();
+}
+
+void RequestStore::AbsorbHistory() const {
+  const uint64_t now = history_.table->version();
+  if (now == history_.written) return;
+  history_rows_.clear();
+  history_tail_of_ta_.clear();
+  history_live_ = 0;
+  // Markers only ever leave history through GC, which clears the set, so a
+  // rescan here is exact — including markers deleted out of band.
+  unretired_finished_.clear();
+  history_.table->ForEach(
+      [&](RowId, const Row& row) { AppendHistory(RowToRequestFull(row)); });
+  history_version_ += now - history_.written;
+  history_.Absorbed();
+}
+
+void RequestStore::AbsorbTenants() const {
+  const uint64_t now = tenants_.table->version();
+  if (now == tenants_.written) return;
+  tenants_by_id_.clear();
+  tenants_.table->ForEach([&](RowId, const Row& row) {
+    TenantAcct a = RowToTenant(row);
+    tenants_by_id_.emplace(a.tenant, a);
+  });
+  tenants_version_ += now - tenants_.written;
+  tenants_.Absorbed();
+}
+
+void RequestStore::SyncCatalog() const {
+  AbsorbPending();
+  AbsorbHistory();
+  AbsorbTenants();
+  // Rewrites in place — Clear plus inserts — so Table pointers (and the
+  // prepared queries bound to them) stay valid.
+  if (requests_.shows != pending_version_) {
+    requests_.table->Clear();
+    for (const auto& [id, r] : pending_by_id_) {
+      InsertViewRow(requests_.table, ToRow(r));
+    }
+    requests_.Wrote(pending_version_);
+  }
+  if (history_.shows != history_version_) {
+    history_.table->Clear();
+    // Not ForEachHistory: it would take the Clear for an out-of-band edit.
+    for (const HistoryRow& row : history_rows_) {
+      if (!row.dead) InsertViewRow(history_.table, ToRow(row.request));
+    }
+    history_.Wrote(history_version_);
+  }
+  if (tenants_.shows != tenants_version_) {
+    tenants_.table->Clear();
+    for (const auto& [tenant, acct] : tenants_by_id_) {
+      InsertViewRow(tenants_.table, TenantToRow(acct));
+    }
+    tenants_.Wrote(tenants_version_);
+  }
 }
 
 Status RequestStore::InsertPending(const RequestBatch& batch) {
   if (batch.empty()) return Status::OK();
-  EnsureMirror();
-  EnsureTenantMirror();
+  AbsorbPending();
+  AbsorbTenants();
   // Auto-create a default tenants row for tenants first seen on a pending
   // request, so fairness protocols can always inner-join requests with
   // tenants. `last` short-circuits the common one-tenant batch (a flag,
@@ -166,20 +224,19 @@ Status RequestStore::InsertPending(const RequestBatch& batch) {
   bool have_last = false;
   int64_t last = 0;
   for (const Request& request : batch) {
-    DS_RETURN_NOT_OK(requests_->Insert(ToRow(request)).status());
-    pending_by_id_[request.id] = request;
+    // Admission ids ascend, so the end hint makes each insert O(1).
+    pending_by_id_.insert_or_assign(pending_by_id_.end(), request.id, request);
     if ((!have_last || request.tenant != last) &&
         tenants_by_id_.find(request.tenant) == tenants_by_id_.end()) {
       TenantAcct acct;
       acct.tenant = request.tenant;
-      DS_RETURN_NOT_OK(tenants_->Insert(TenantToRow(acct)).status());
       tenants_by_id_.emplace(acct.tenant, acct);
-      tenant_mirror_version_ = tenants_->version();
+      ++tenants_version_;
     }
     have_last = true;
     last = request.tenant;
   }
-  mirror_version_ = requests_->version();
+  pending_version_ += batch.size();
   ++pending_epoch_;
   if (wal_ != nullptr) {
     wal_scratch_.clear();
@@ -190,20 +247,9 @@ Status RequestStore::InsertPending(const RequestBatch& batch) {
 }
 
 Status RequestStore::UpsertTenant(const TenantAcct& acct) {
-  EnsureTenantMirror();
-  DS_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                      tenants_->IndexLookup(0, Value::Int64(acct.tenant)));
-  if (ids.empty()) {
-    DS_RETURN_NOT_OK(tenants_->Insert(TenantToRow(acct)).status());
-  } else if (ids.size() == 1) {
-    DS_RETURN_NOT_OK(tenants_->Update(ids[0], TenantToRow(acct)));
-  } else {
-    return Status::Internal(StrFormat("tenant %lld matched %zu rows",
-                                      static_cast<long long>(acct.tenant),
-                                      ids.size()));
-  }
+  AbsorbTenants();
   tenants_by_id_[acct.tenant] = acct;
-  tenant_mirror_version_ = tenants_->version();
+  ++tenants_version_;
   if (wal_ != nullptr) {
     wal_scratch_.clear();
     EncodeTenantTo(&wal_scratch_, acct);
@@ -212,23 +258,13 @@ Status RequestStore::UpsertTenant(const TenantAcct& acct) {
   return Status::OK();
 }
 
-void RequestStore::EnsureTenantMirror() const {
-  if (tenant_mirror_version_ == tenants_->version()) return;
-  tenants_by_id_.clear();
-  tenants_->ForEach([&](RowId, const Row& row) {
-    TenantAcct a = RowToTenant(row);
-    tenants_by_id_.emplace(a.tenant, a);
-  });
-  tenant_mirror_version_ = tenants_->version();
-}
-
 const std::map<int64_t, TenantAcct>& RequestStore::tenants_by_id() const {
-  EnsureTenantMirror();
+  AbsorbTenants();
   return tenants_by_id_;
 }
 
 TenantAcct RequestStore::TenantOrDefault(int64_t tenant) const {
-  EnsureTenantMirror();
+  AbsorbTenants();
   auto it = tenants_by_id_.find(tenant);
   if (it != tenants_by_id_.end()) return it->second;
   TenantAcct acct;
@@ -236,42 +272,68 @@ TenantAcct RequestStore::TenantOrDefault(int64_t tenant) const {
   return acct;
 }
 
-int64_t RequestStore::tenant_count() const { return tenants_->size(); }
+int64_t RequestStore::tenant_count() const {
+  AbsorbTenants();
+  return static_cast<int64_t>(tenants_by_id_.size());
+}
 
-Status RequestStore::AppendHistoryRow(const Request& request) {
-  DS_RETURN_NOT_OK(history_->Insert(ToRow(request)).status());
+void RequestStore::AppendHistory(const Request& request) const {
+  const uint32_t row = static_cast<uint32_t>(history_rows_.size());
+  auto [tail, first] = history_tail_of_ta_.try_emplace(request.ta, row);
+  uint32_t prev = kNoRow;
+  if (!first) {
+    prev = tail->second;
+    tail->second = row;
+  }
+  history_rows_.push_back(HistoryRow{request, prev, false});
+  ++history_live_;
   if (IsTerminationMarker(request.op)) unretired_finished_.insert(request.ta);
-  return Status::OK();
+}
+
+void RequestStore::MaybeCompactHistory() {
+  // Compact when tombstones outnumber live rows: each live row moves at
+  // most once per doubling of retirements, so GC stays O(rows retired)
+  // amortized. Retirement kills whole chains, so live chains only link
+  // live rows and a remap keeps them intact.
+  constexpr size_t kMinRows = 64;
+  const size_t total = history_rows_.size();
+  const size_t live = static_cast<size_t>(history_live_);
+  if (total < kMinRows || total - live <= live) return;
+  std::vector<uint32_t> remap(total, kNoRow);
+  uint32_t out = 0;
+  for (size_t i = 0; i < total; ++i) {
+    if (history_rows_[i].dead) continue;
+    HistoryRow& row = history_rows_[i];
+    if (row.prev_of_ta != kNoRow) row.prev_of_ta = remap[row.prev_of_ta];
+    remap[i] = out;
+    if (out != i) history_rows_[out] = std::move(row);
+    ++out;
+  }
+  history_rows_.resize(out);
+  for (auto& [ta, tail] : history_tail_of_ta_) tail = remap[tail];
 }
 
 Status RequestStore::MarkScheduled(const RequestBatch& batch) {
   if (batch.empty()) return Status::OK();
-  EnsureMirror();
+  AbsorbPending();
+  AbsorbHistory();
   // Bump before moving rows: a failure partway through is still a mutation,
   // and epoch-keyed consumers must resync rather than serve stale state.
   ++pending_epoch_;
   ++history_epoch_;
   for (const Request& request : batch) {
-    DS_ASSIGN_OR_RETURN(std::vector<RowId> ids,
-                        requests_->IndexLookup(kColId, Value::Int64(request.id)));
-    if (ids.size() != 1) {
-      return Status::Internal(StrFormat("request #%lld matched %zu pending rows",
-                                        static_cast<long long>(request.id),
-                                        ids.size()));
+    auto it = pending_by_id_.find(request.id);
+    if (it == pending_by_id_.end()) {
+      return Status::Internal(StrFormat("request #%lld is not pending",
+                                        static_cast<long long>(request.id)));
     }
-    // Move the full stored row (the scheduled batch may carry only the
+    // Move the full stored request (the scheduled batch may carry only the
     // protocol's projection of it).
-    Row row = *requests_->Get(ids[0]);
-    DS_RETURN_NOT_OK(requests_->Delete(ids[0]));
-    pending_by_id_.erase(request.id);
-    if (IsTerminationMarker(ParseOperation(row[kColOperation].AsString()))) {
-      unretired_finished_.insert(row[kColTa].AsInt64());
-    }
-    DS_RETURN_NOT_OK(history_->Insert(std::move(row)).status());
+    AppendHistory(it->second);
+    pending_by_id_.erase(it);
+    ++pending_version_;
+    ++history_version_;
   }
-  requests_->MaybeVacuum();
-  mirror_version_ = requests_->version();
-  history_version_expected_ = history_->version();
   if (wal_ != nullptr) {
     wal_scratch_.clear();
     EncodeRequestIdsTo(&wal_scratch_, batch);
@@ -281,8 +343,9 @@ Status RequestStore::MarkScheduled(const RequestBatch& batch) {
 }
 
 Status RequestStore::InsertHistory(const Request& request) {
-  DS_RETURN_NOT_OK(AppendHistoryRow(request));
-  history_version_expected_ = history_->version();
+  AbsorbHistory();
+  AppendHistory(request);
+  ++history_version_;
   ++history_epoch_;
   if (wal_ != nullptr) {
     wal_scratch_.clear();
@@ -294,22 +357,21 @@ Status RequestStore::InsertHistory(const Request& request) {
 
 int64_t RequestStore::DropPendingOfTransaction(
     txn::TxnId ta, std::map<int64_t, int64_t>* dropped_by_tenant) {
-  EnsureMirror();
-  const int64_t removed = requests_->DeleteWhere([ta](const Row& row) {
-    return row[kColTa].AsInt64() == ta;
-  });
-  if (removed > 0) {
-    for (auto it = pending_by_id_.begin(); it != pending_by_id_.end();) {
-      if (it->second.ta == ta) {
-        if (dropped_by_tenant != nullptr) {
-          ++(*dropped_by_tenant)[it->second.tenant];
-        }
-        it = pending_by_id_.erase(it);
-      } else {
-        ++it;
+  AbsorbPending();
+  int64_t removed = 0;
+  for (auto it = pending_by_id_.begin(); it != pending_by_id_.end();) {
+    if (it->second.ta == ta) {
+      if (dropped_by_tenant != nullptr) {
+        ++(*dropped_by_tenant)[it->second.tenant];
       }
+      it = pending_by_id_.erase(it);
+      ++removed;
+    } else {
+      ++it;
     }
-    mirror_version_ = requests_->version();
+  }
+  if (removed > 0) {
+    pending_version_ += static_cast<uint64_t>(removed);
     ++pending_epoch_;
     // Zero-row drops are not logged: they mutate nothing, and replay would
     // observe the same zero rows anyway.
@@ -324,41 +386,32 @@ int64_t RequestStore::DropPendingOfTransaction(
 
 Result<RequestStore::GcResult> RequestStore::GarbageCollectFinished() {
   GcResult gc;
-  // Out-of-band history edits invalidate the running marker count; rescan
-  // like the pre-incremental implementation did every call. (Markers only
-  // ever leave history through this function, which clears the set, so a
-  // full rebuild here is exact — including markers deleted out-of-band.)
-  if (history_version_expected_ != history_->version()) {
-    unretired_finished_.clear();
-    history_->ForEach([&](RowId, const Row& row) {
-      if (IsTerminationMarker(ParseOperation(row[kColOperation].AsString()))) {
-        unretired_finished_.insert(row[kColTa].AsInt64());
-      }
-    });
-    history_version_expected_ = history_->version();
-  }
+  // An out-of-band history edit is absorbed first, which recounts markers.
+  AbsorbHistory();
   // Fast path: markers were counted as they entered history, so "nothing to
   // retire" costs no scan at all.
   if (unretired_finished_.empty()) return gc;
   gc.txns.assign(unretired_finished_.begin(), unretired_finished_.end());
   std::sort(gc.txns.begin(), gc.txns.end());
   unretired_finished_.clear();
-  // Bump before retiring: if a delete below fails partway, epoch-keyed
-  // consumers still see a mutation and resync instead of serving stale.
   ++history_epoch_;
-  // Retire each finished transaction's rows (markers included) through the
-  // ta index: O(rows retired), independent of resident history size.
+  // Retire each finished transaction's rows (markers included) by walking
+  // its chain: O(rows retired), independent of resident history size.
   for (txn::TxnId ta : gc.txns) {
-    DS_ASSIGN_OR_RETURN(std::vector<RowId> rows,
-                        history_->IndexLookup(kColTa, Value::Int64(ta)));
-    for (RowId id : rows) {
-      ++gc.rows_by_tenant[(*history_->Get(id))[kColTenant].AsInt64()];
-      DS_RETURN_NOT_OK(history_->Delete(id));
+    auto tail = history_tail_of_ta_.find(ta);
+    if (tail == history_tail_of_ta_.end()) continue;
+    for (uint32_t i = tail->second; i != kNoRow;) {
+      HistoryRow& row = history_rows_[i];
+      row.dead = true;
+      ++gc.rows_by_tenant[row.request.tenant];
+      ++gc.rows_retired;
+      i = row.prev_of_ta;
     }
-    gc.rows_retired += static_cast<int64_t>(rows.size());
+    history_tail_of_ta_.erase(tail);
   }
-  history_->MaybeVacuum();
-  history_version_expected_ = history_->version();
+  history_live_ -= gc.rows_retired;
+  history_version_ += static_cast<uint64_t>(gc.rows_retired);
+  MaybeCompactHistory();
   // The record carries no payload: GC is a deterministic function of the
   // history relation, which replay has already reproduced at this point.
   LogWal(static_cast<uint8_t>(WalRecordType::kGc), {});
@@ -366,7 +419,7 @@ Result<RequestStore::GcResult> RequestStore::GarbageCollectFinished() {
 }
 
 Result<RequestBatch> RequestStore::AllPending() const {
-  EnsureMirror();
+  AbsorbPending();
   RequestBatch out;
   out.reserve(pending_by_id_.size());
   for (const auto& [id, request] : pending_by_id_) out.push_back(request);
@@ -374,18 +427,39 @@ Result<RequestBatch> RequestStore::AllPending() const {
 }
 
 const std::map<int64_t, Request>& RequestStore::pending_by_id() const {
-  EnsureMirror();
+  AbsorbPending();
   return pending_by_id_;
 }
 
-int64_t RequestStore::pending_count() const { return requests_->size(); }
-int64_t RequestStore::history_count() const { return history_->size(); }
-uint64_t RequestStore::history_version() const { return history_->version(); }
-uint64_t RequestStore::pending_version() const { return requests_->version(); }
-uint64_t RequestStore::tenants_version() const { return tenants_->version(); }
+int64_t RequestStore::pending_count() const {
+  AbsorbPending();
+  return static_cast<int64_t>(pending_by_id_.size());
+}
+
+int64_t RequestStore::history_count() const {
+  AbsorbHistory();
+  return history_live_;
+}
+
+uint64_t RequestStore::history_version() const {
+  AbsorbHistory();
+  return history_version_;
+}
+
+uint64_t RequestStore::pending_version() const {
+  AbsorbPending();
+  return pending_version_;
+}
+
+uint64_t RequestStore::tenants_version() const {
+  AbsorbTenants();
+  return tenants_version_;
+}
 
 const datalog::Database& RequestStore::BuildDatalogEdb() const {
-  EnsureMirror();
+  AbsorbPending();
+  AbsorbHistory();
+  AbsorbTenants();
   if (edb_pending_epoch_ != pending_epoch_) {
     datalog::Relation& req = edb_cache_["req"];
     datalog::Relation& reqmeta = edb_cache_["reqmeta"];
@@ -408,8 +482,7 @@ const datalog::Database& RequestStore::BuildDatalogEdb() const {
     }
     edb_pending_epoch_ = pending_epoch_;
   }
-  if (edb_tenant_version_ != tenants_->version()) {
-    EnsureTenantMirror();
+  if (edb_tenant_version_ != tenants_version_) {
     datalog::Relation& acct = edb_cache_["tenantacct"];
     acct.clear();
     acct.reserve(tenants_by_id_.size());
@@ -419,19 +492,21 @@ const datalog::Database& RequestStore::BuildDatalogEdb() const {
                       Value::Int64(a.tokens), Value::Int64(a.rate),
                       Value::Int64(a.cap), Value::Int64(a.inflight)});
     }
-    edb_tenant_version_ = tenants_->version();
+    edb_tenant_version_ = tenants_version_;
   }
   if (edb_history_epoch_ != history_epoch_ ||
-      edb_history_version_ != history_->version()) {
+      edb_history_version_ != history_version_) {
     datalog::Relation& hist = edb_cache_["hist"];
     hist.clear();
-    hist.reserve(static_cast<size_t>(history_->size()));
-    history_->ForEach([&](RowId, const Row& row) {
-      hist.push_back({row[kColId], row[kColTa], row[kColIntrata],
-                      row[kColOperation], row[kColObject]});
+    hist.reserve(static_cast<size_t>(history_live_));
+    ForEachHistory([&](const Request& r) {
+      hist.push_back({Value::Int64(r.id), Value::Int64(r.ta),
+                      Value::Int64(r.intrata),
+                      Value::String(std::string(1, txn::OpTypeToChar(r.op))),
+                      Value::Int64(r.object)});
     });
     edb_history_epoch_ = history_epoch_;
-    edb_history_version_ = history_->version();
+    edb_history_version_ = history_version_;
   }
   return edb_cache_;
 }
@@ -442,7 +517,7 @@ Result<RequestBatch> RequestStore::RowsToRequests(
     return Status::InvalidArgument(
         "RowsToRequests needs the five Table 2 column positions");
   }
-  EnsureMirror();
+  AbsorbPending();
   RequestBatch batch;
   batch.reserve(rows.size());
   for (const storage::Row& row : rows) {
@@ -458,7 +533,7 @@ Result<RequestBatch> RequestStore::RowsToRequests(
     request.intrata = row[static_cast<size_t>(cols[2])].AsInt64();
     request.op = ParseOperation(row[static_cast<size_t>(cols[3])].AsString());
     request.object = row[static_cast<size_t>(cols[4])].AsInt64();
-    // Rejoin the metadata columns from the pending mirror (protocols only
+    // Rejoin the metadata columns from the pending relation (protocols only
     // guarantee the Table 2 columns in their result); rows carrying the
     // full canonical layout fall back to their own columns.
     auto it = pending_by_id_.find(request.id);

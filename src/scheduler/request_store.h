@@ -1,34 +1,51 @@
 // RequestStore: the pending-request and history databases of Figure 1.
 //
-// Both are ordinary relations in a storage::Catalog so that scheduling
-// protocols — SQL queries or Datalog programs — can treat requests as data.
-// Schema: the paper's Table 2 columns plus the SLA extension columns.
+// The truth is three typed relations, one per table of the paper's model:
+//   - pending (id -> Request, iterated in id order);
+//   - history (Requests in insertion order, with a per-transaction chain so
+//     GC retires a finished transaction in O(its rows));
+//   - tenants (tenant id -> TenantAcct).
+// Every mutator writes only these and its WAL record, so the compiled
+// protocols, the lock table, the tenant accountant and the Datalog EDB read
+// requests without ever boxing them into Values.
 //
-// The store is the single writer of those relations and keeps three pieces
-// of derived state so per-cycle work is proportional to what changed, not
-// what is resident:
-//   - a typed mirror of pending (id -> Request, iterated in id order) that
-//     spares every consumer the boxed-Value decode and per-row index
-//     re-join;
-//   - monotone pending/history epochs, bumped exactly once per mutating
-//     call, that incremental consumers (the Datalog EDB cache below, the
-//     backends' LockTableState) key their caches on;
-//   - a running set of transactions whose commit/abort markers entered
-//     history since the last GC, so GarbageCollectFinished() skips both
-//     full scans when there is nothing to retire.
-// Mutate the relations through this API only; out-of-band table edits are
-// tolerated (derived state self-heals via the tables' content-version
-// counters) but defeat the incremental machinery.
+// The storage::Catalog tables `requests`, `history` and `tenants` — what SQL
+// protocols and ad-hoc SQL see (Table 2 columns plus the SLA extension
+// columns) — are a view: catalog() and sql_engine() rewrite a table in place
+// (Clear plus inserts, so Table pointers stay valid) whenever it lags the
+// typed relation, pending in id order, history in insertion order, tenants
+// in tenant order. The interpreted SQL backend re-syncs before every run
+// through SyncCatalog(). A pointer to the engine or a table held across
+// store mutations sees the view as of its last sync.
+//
+// Out-of-band edits — ad-hoc SQL DML, direct Table writes — are absorbed:
+// the next store access notices that a table's content version moved since
+// the store last wrote it and rebuilds that typed relation from the table.
+// The signature consumers key on is the one the tables used to give:
+//   - each relation's content version counts rows exactly as
+//     storage::Table::version() does (insert, delete and update add 1 each),
+//     and an absorbed edit moves it by the table's own delta;
+//   - pending/history epochs bump exactly once per mutating call;
+//   - an absorbed pending edit bumps the pending epoch once; an absorbed
+//     history or tenants edit moves only the version.
+// Each incremental consumer therefore rebuilds exactly once per edit.
+//
+// Derived state the store keeps so per-cycle work is proportional to what
+// changed: the pending/history epochs above, a per-relation epoch-cached
+// Datalog EDB, and the running set of transactions whose commit/abort
+// markers entered history since the last GC, so GarbageCollectFinished()
+// skips all scanning when there is nothing to retire.
 //
 // Thread ownership: a RequestStore belongs to the one thread that runs its
-// scheduler's cycles — nothing here locks. In the sharded scheduler each
-// shard owns a private store (and therefore private epochs); cross-shard
-// effects arrive only as that shard's own cycle-thread mutations (escrow
-// mirror markers applied between cycles). Epoch invariant consumers rely
-// on: each mutating call that touches a relation bumps that relation's
-// epoch exactly once — never zero times, never twice — and the epoch
-// value is meaningful only for equality comparison against a value read
-// from this same store instance.
+// scheduler's cycles — nothing here locks, and const accessors that absorb
+// an edit or rewrite the view mutate `mutable` state. In the sharded
+// scheduler each shard owns a private store (and therefore private epochs);
+// cross-shard effects arrive only as that shard's own cycle-thread
+// mutations (escrow mirror markers applied between cycles). Epoch invariant
+// consumers rely on: each mutating call that touches a relation bumps that
+// relation's epoch exactly once — never zero times, never twice — and the
+// epoch value is meaningful only for equality comparison against a value
+// read from this same store instance.
 
 #ifndef DECLSCHED_SCHEDULER_REQUEST_STORE_H_
 #define DECLSCHED_SCHEDULER_REQUEST_STORE_H_
@@ -37,6 +54,7 @@
 #include <map>
 #include <memory>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -115,15 +133,30 @@ class RequestStore {
 
   RequestStore();
 
-  storage::Catalog* catalog() { return &catalog_; }
-  const storage::Catalog* catalog() const { return &catalog_; }
-  sql::SqlEngine* sql_engine() { return &engine_; }
+  /// The catalog view, synced first (see SyncCatalog).
+  storage::Catalog* catalog() {
+    SyncCatalog();
+    return &catalog_;
+  }
+  const storage::Catalog* catalog() const {
+    SyncCatalog();
+    return &catalog_;
+  }
+  /// The SQL engine over the catalog view, synced first.
+  sql::SqlEngine* sql_engine() {
+    SyncCatalog();
+    return &engine_;
+  }
 
-  /// Appends a batch to the pending `requests` relation.
+  /// Absorbs out-of-band table edits into the typed relations, then
+  /// rewrites every table that lags its relation. O(1) when nothing moved.
+  void SyncCatalog() const;
+
+  /// Appends a batch to pending.
   Status InsertPending(const RequestBatch& batch);
 
-  /// Moves scheduled requests: delete from `requests`, insert into `history`.
-  /// (Paper Section 3.3, step three.)
+  /// Moves scheduled requests from pending to history (paper Section 3.3,
+  /// step three).
   Status MarkScheduled(const RequestBatch& batch);
 
   /// Appends one row straight to history — how the scheduler injects the
@@ -138,58 +171,71 @@ class RequestStore {
 
   /// Deletes every history row of transactions that have a commit/abort
   /// marker. Under SS2PL those rows no longer represent locks; retiring them
-  /// keeps the history table at the active working set ("all *relevant*
+  /// keeps history at the active working set ("all *relevant*
   /// prior executed requests"). O(1) when no marker arrived since the last
-  /// call; otherwise O(rows of the finished transactions) via the ta index.
+  /// call; otherwise O(rows of the finished transactions) via their chains.
   Result<GcResult> GarbageCollectFinished();
 
-  /// All pending requests, by ascending id (a copy of the mirror).
+  /// All pending requests, by ascending id (a copy of the relation).
   Result<RequestBatch> AllPending() const;
 
-  /// The typed mirror of pending, keyed — and therefore iterated — by id.
+  /// The typed pending relation, keyed — and therefore iterated — by id.
   /// The zero-copy way to walk pending; valid until the next mutation.
   const std::map<int64_t, Request>& pending_by_id() const;
+
+  /// Calls fn(const Request&) for every history row, in insertion order.
+  /// The zero-copy way to walk history; `fn` must not mutate the store.
+  template <typename Fn>
+  void ForEachHistory(Fn&& fn) const {
+    AbsorbHistory();
+    for (const HistoryRow& row : history_rows_) {
+      if (!row.dead) fn(row.request);
+    }
+  }
 
   int64_t pending_count() const;
   int64_t history_count() const;
 
   /// Epochs bump exactly once per mutating call that touched the relation.
   /// Consumers cache derived state keyed on them (equality compare only).
-  uint64_t pending_epoch() const { return pending_epoch_; }
+  uint64_t pending_epoch() const {
+    AbsorbPending();
+    return pending_epoch_;
+  }
   uint64_t history_epoch() const { return history_epoch_; }
 
-  /// The history table's content-mutation counter (storage::Table::
-  /// version()). Unlike the epoch, it also moves on out-of-band edits —
-  /// ad-hoc SQL DML, partial failures — so incremental consumers pair it
-  /// with the epoch to detect every way history can change under them.
+  /// History's content-mutation counter: +1 per row inserted, deleted or
+  /// updated, as storage::Table::version() counts. Unlike the epoch, it
+  /// also moves on absorbed out-of-band edits (ad-hoc SQL DML), so
+  /// incremental consumers pair it with the epoch to detect every way
+  /// history can change under them.
   uint64_t history_version() const;
 
-  /// The requests table's content-mutation counter — pairs with
-  /// pending_epoch() exactly as history_version() pairs with the history
-  /// epoch. What the vectorized executor's columnar mirror keys its
-  /// delta-accept handshake on.
+  /// Pending's content-mutation counter — pairs with pending_epoch()
+  /// exactly as history_version() pairs with the history epoch. What the
+  /// vectorized executor's columnar mirror keys its delta-accept handshake
+  /// on.
   uint64_t pending_version() const;
 
-  /// The tenants table's content-mutation counter. The tenants relation has
-  /// no narrated delta hook (the accountant upserts between hooks), so
+  /// The tenants relation's content-mutation counter. The tenants relation
+  /// has no narrated delta hook (the accountant upserts between hooks), so
   /// columnar consumers rebuild whenever this moves.
   uint64_t tenants_version() const;
 
   // --- the `tenants` accounting relation -------------------------------
   // Visible to SQL protocols as the `tenants` table and to Datalog as the
-  // `tenantacct` EDB relation; the typed mirror below is the zero-decode
+  // `tenantacct` EDB relation; the typed relation below is the zero-decode
   // path the native backend and composed stages read. InsertPending
   // auto-creates a default row for any tenant first seen on a pending
   // request, so fairness protocols can always inner-join requests with
-  // tenants. Unlike requests/history, mutate this relation through
-  // UpsertTenant only — out-of-band SQL DML against `tenants` is detected
-  // (content version) and answered by a mirror rebuild from the table.
+  // tenants. Write it through UpsertTenant; out-of-band SQL DML against
+  // `tenants` is absorbed like any other table edit.
 
-  /// Inserts or overwrites the row of `acct.tenant` (table + mirror).
+  /// Inserts or overwrites the row of `acct.tenant`.
   Status UpsertTenant(const TenantAcct& acct);
 
-  /// The typed mirror of the `tenants` relation, keyed by tenant id;
-  /// valid until the next mutation. Missing tenant = default TenantAcct.
+  /// The typed `tenants` relation, keyed by tenant id; valid until the next
+  /// mutation. Missing tenant = default TenantAcct.
   const std::map<int64_t, TenantAcct>& tenants_by_id() const;
 
   /// The acct of one tenant (default row if the tenant has no row yet).
@@ -205,7 +251,7 @@ class RequestStore {
   ///              Inflight).
   /// Cached with per-relation epoch invalidation: req/reqmeta/reqtenant
   /// rebuild only when pending changed, hist only when history changed,
-  /// tenantacct only when the tenants table changed, so repeat consumers
+  /// tenantacct only when the tenants relation changed, so repeat consumers
   /// in one cycle (protocol, deadlock resolver) share one build. The
   /// reference is valid until the next mutation.
   const datalog::Database& BuildDatalogEdb() const;
@@ -213,7 +259,7 @@ class RequestStore {
   /// The one row -> Request decode/join path shared by every interpreted
   /// backend: converts result rows carrying the Table 2 columns
   /// (id, ta, intrata, operation, object) into Requests, rejoining the SLA
-  /// columns from the typed pending mirror in the same pass. `cols` gives
+  /// columns from the typed pending relation in the same pass. `cols` gives
   /// the position of each Table 2 column in the result schema (the SQL
   /// backend's by-name binding); the default overload is for results in
   /// canonical column order (Datalog relations, raw table projections).
@@ -225,9 +271,9 @@ class RequestStore {
   /// the one mapping every consumer of these tables must share.
   static txn::OpType ParseOperation(const std::string& op);
 
-  /// Decodes a full 9-column `requests`/`history` row. The one place the
-  /// column layout is interpreted; consumers scanning raw table rows (the
-  /// scratch native path, the mirror rebuild) must share it.
+  /// Decodes a full 10-column `requests`/`history` row. The one place the
+  /// column layout is interpreted; consumers scanning raw table rows (an
+  /// absorbed out-of-band edit, snapshot restore) must share it.
   static Request RowToRequestFull(const storage::Row& row);
 
   /// Row codecs of the `tenants` relation, shared with the snapshot/restore
@@ -257,40 +303,69 @@ class RequestStore {
   /// WAL is attached).
   void LogWal(uint8_t type, std::string_view payload);
 
-  /// Rebuilds the mirror from the table if an out-of-band edit changed the
-  /// row count underneath it.
-  void EnsureMirror() const;
-  /// As EnsureMirror, for the tenants relation.
-  void EnsureTenantMirror() const;
-  /// Tracks a row entering history (marker bookkeeping; no epoch bump).
-  Status AppendHistoryRow(const Request& request);
+  /// One history row; `prev_of_ta` links it to the previous row of its
+  /// transaction (kNoRow ends the chain), which is what GC walks.
+  struct HistoryRow {
+    Request request;
+    uint32_t prev_of_ta;
+    bool dead;
+  };
+  static constexpr uint32_t kNoRow = ~uint32_t{0};
+
+  /// One catalog table and how it stands against its typed relation.
+  struct View {
+    storage::Table* table = nullptr;
+    /// table->version() right after the store last wrote or absorbed it;
+    /// any other value means an out-of-band edit to absorb.
+    uint64_t written = 0;
+    /// The relation version the table's rows show.
+    uint64_t shows = 0;
+
+    void Wrote(uint64_t version) {
+      written = table->version();
+      shows = version;
+    }
+    /// The relation now holds the table's rows, but keyed relations reorder
+    /// them (and drop duplicate keys), so the next sync rewrites the table.
+    void Absorbed() {
+      written = table->version();
+      shows = ~uint64_t{0};
+    }
+  };
+
+  /// Rebuilds a typed relation from its table if the table was edited
+  /// out of band (see the file comment for what each moves).
+  void AbsorbPending() const;
+  void AbsorbHistory() const;
+  void AbsorbTenants() const;
+  /// Links one row into typed history (no version or epoch movement).
+  void AppendHistory(const Request& request) const;
+  /// Drops tombstoned history rows once they outnumber live ones.
+  void MaybeCompactHistory();
 
   storage::Catalog catalog_;
   sql::SqlEngine engine_;
-  storage::Table* requests_ = nullptr;
-  storage::Table* history_ = nullptr;
-  storage::Table* tenants_ = nullptr;
+  mutable View requests_;
+  mutable View history_;
+  mutable View tenants_;
 
-  /// Typed mirror of the `requests` relation. Mutable: EnsureMirror() may
-  /// lazily self-heal from a const accessor. `mirror_version_` is the table
-  /// version the mirror reflects; any mismatch — out-of-band DML, an error
-  /// path that bailed early — triggers a rebuild.
+  // The typed relations. Mutable: a const accessor may absorb an
+  // out-of-band edit into them.
   mutable std::map<int64_t, Request> pending_by_id_;
-  mutable uint64_t mirror_version_ = 0;
+  /// Insertion order, tombstoned; `history_tail_of_ta_` holds the newest
+  /// row of each transaction with resident rows.
+  mutable std::vector<HistoryRow> history_rows_;
+  mutable std::unordered_map<txn::TxnId, uint32_t> history_tail_of_ta_;
+  mutable int64_t history_live_ = 0;
+  mutable std::map<int64_t, TenantAcct> tenants_by_id_;
+  mutable uint64_t pending_version_ = 0;
+  mutable uint64_t history_version_ = 0;
+  mutable uint64_t tenants_version_ = 0;
   /// Transactions with a termination marker in history not yet retired.
-  /// Valid only while the history table's version equals
-  /// `history_version_expected_` (the version after this store's own last
-  /// mutation); an out-of-band edit forces the next GC to rescan markers.
-  std::unordered_set<txn::TxnId> unretired_finished_;
-  uint64_t history_version_expected_ = 0;
+  mutable std::unordered_set<txn::TxnId> unretired_finished_;
   /// Epochs start at 1 so 0 can serve consumers as a "never synced" value.
   mutable uint64_t pending_epoch_ = 1;
   uint64_t history_epoch_ = 1;
-
-  /// Typed mirror of the `tenants` relation; self-heals from the table on
-  /// version mismatch, like the pending mirror.
-  mutable std::map<int64_t, TenantAcct> tenants_by_id_;
-  mutable uint64_t tenant_mirror_version_ = 0;
 
   // Datalog EDB cache (see BuildDatalogEdb). A cached epoch of 0 is stale.
   mutable datalog::Database edb_cache_;
@@ -298,7 +373,7 @@ class RequestStore {
   mutable uint64_t edb_history_epoch_ = 0;
   mutable uint64_t edb_history_version_ = 0;
   /// Sentinel-initialized so the first build materializes the (possibly
-  /// empty) tenantacct relation (table versions start at 0).
+  /// empty) tenantacct relation (relation versions start at 0).
   mutable uint64_t edb_tenant_version_ = ~uint64_t{0};
 
   /// Durability hooks (see AttachWal). Not owned.

@@ -226,18 +226,15 @@ Status ShardedScheduler::ReestablishCrossShardState(
         t.rows_mask |= 1u << s;
       }
     }
-    store->catalog()
-        ->GetTable("history")
-        ->ForEach([&](storage::RowId, const storage::Row& row) {
-          const Request r = RequestStore::RowToRequestFull(row);
-          observe_ids(r);
-          TxnState& t = txns[r.ta];
-          if (IsFinisher(r.op)) {
-            t.marker_mask |= 1u << s;
-          } else {
-            t.rows_mask |= 1u << s;
-          }
-        });
+    store->ForEachHistory([&](const Request& r) {
+      observe_ids(r);
+      TxnState& t = txns[r.ta];
+      if (IsFinisher(r.op)) {
+        t.marker_mask |= 1u << s;
+      } else {
+        t.rows_mask |= 1u << s;
+      }
+    });
   }
   next_id_.store(max_id + 1, std::memory_order_relaxed);
   recovered_max_ta_ = max_ta;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "storage/table.h"
 
 namespace declsched::scheduler {
 
@@ -208,9 +207,6 @@ void TenantAccountant::OnFinished(const RequestStore::GcResult& gc) {
 }
 
 Status TenantAccountant::BeginCycle(SimTime now) {
-  // Force the store's lazy mirror heal so the epoch comparison below sees
-  // any out-of-band pending edit.
-  store_->pending_by_id();
   if (synced_pending_epoch_ == 0 ||
       synced_pending_epoch_ != store_->pending_epoch() ||
       synced_history_epoch_ != store_->history_epoch() ||
@@ -283,10 +279,8 @@ void TenantAccountant::Rebuild() {
     ++state.pending;
     state.oldest.emplace_back(r.id, r.arrival.micros());
   }
-  const storage::Table* history = store_->catalog()->GetTable("history");
-  history->ForEach([&](storage::RowId, const storage::Row& row) {
-    ++TenantState(row[RequestStore::kColTenant].AsInt64()).acct.inflight;
-  });
+  store_->ForEachHistory(
+      [&](const Request& r) { ++TenantState(r.tenant).acct.inflight; });
   for (auto& [tenant, state] : states_) MarkDirty(tenant, state);
   synced_pending_epoch_ = store_->pending_epoch();
   synced_history_epoch_ = store_->history_epoch();

@@ -9,7 +9,7 @@
 // rounds, and token buckets. Once per cycle (BeginCycle, before the
 // protocol runs) it refills tokens and flushes every changed tenant into
 // the store's `tenants` relation, which is where the policies read the
-// state: natively off the typed mirror, declaratively as the `tenants` SQL
+// state: natively off the typed relation, declaratively as the `tenants` SQL
 // table / `tenantacct` Datalog relation. Policy evaluation therefore never
 // depends on this class — a bare store with hand-written tenants rows
 // answers identically — the accountant only keeps those rows current at

@@ -3,8 +3,8 @@
 // A snapshot captures the raw rows of every base relation on every shard,
 // together with the last LSN whose effects the rows include. Recovery loads
 // the snapshot, then replays only WAL records with lsn > last_lsn. Derived
-// state (typed mirrors, lock tables, tenant accounting, compiled-IR
-// operator state) is never serialized — restoring base rows and forcing the
+// state (lock tables, tenant accounting, compiled-IR operator state) is
+// never serialized — restoring base rows and forcing the
 // staleness-rebuild contract reconstructs all of it.
 //
 // File format (all integers little-endian; see storage/coding.h):

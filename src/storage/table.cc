@@ -1,7 +1,5 @@
 #include "storage/table.h"
 
-#include <algorithm>
-
 #include "common/string_util.h"
 
 namespace declsched::storage {
@@ -32,7 +30,6 @@ Status Table::ValidateRow(const Row& row) const {
 Result<RowId> Table::Insert(Row row) {
   DS_RETURN_NOT_OK(ValidateRow(row));
   const RowId id = static_cast<RowId>(slots_.size());
-  IndexInsert(id, row);
   slots_.emplace_back(std::move(row));
   ++live_rows_;
   ++version_;
@@ -49,7 +46,6 @@ Status Table::Delete(RowId id) {
 }
 
 void Table::DeleteInternal(RowId id) {
-  IndexErase(id, *slots_[id]);
   slots_[id].reset();
   --live_rows_;
   ++version_;
@@ -61,8 +57,6 @@ Status Table::Update(RowId id, Row row) {
                                       static_cast<long long>(id)));
   }
   DS_RETURN_NOT_OK(ValidateRow(row));
-  IndexErase(id, *slots_[id]);
-  IndexInsert(id, row);
   slots_[id] = std::move(row);
   ++version_;
   return Status::OK();
@@ -82,56 +76,10 @@ std::vector<Row> Table::Scan() const {
   return out;
 }
 
-Status Table::CreateIndex(std::string_view column_name) {
-  const int col = schema_.FindColumn(column_name);
-  if (col < 0) {
-    return Status::NotFound(StrFormat("table %s: no column named %.*s", name_.c_str(),
-                                      static_cast<int>(column_name.size()),
-                                      column_name.data()));
-  }
-  if (indexes_.count(col) > 0) {
-    return Status::AlreadyExists(
-        StrFormat("table %s: index on column %d exists", name_.c_str(), col));
-  }
-  auto& index = indexes_[col];
-  ForEach([&index, col](RowId id, const Row& row) { index[row[col]].push_back(id); });
-  return Status::OK();
-}
-
-bool Table::HasIndex(int column_index) const { return indexes_.count(column_index) > 0; }
-
-Result<std::vector<RowId>> Table::IndexLookup(int column_index, const Value& key) const {
-  auto it = indexes_.find(column_index);
-  if (it == indexes_.end()) {
-    return Status::InvalidArgument(
-        StrFormat("table %s: no index on column %d", name_.c_str(), column_index));
-  }
-  auto hit = it->second.find(key);
-  if (hit == it->second.end()) return std::vector<RowId>{};
-  return hit->second;
-}
-
-void Table::IndexInsert(RowId id, const Row& row) {
-  for (auto& [col, index] : indexes_) {
-    index[row[col]].push_back(id);
-  }
-}
-
-void Table::IndexErase(RowId id, const Row& row) {
-  for (auto& [col, index] : indexes_) {
-    auto it = index.find(row[col]);
-    if (it == index.end()) continue;
-    auto& ids = it->second;
-    ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
-    if (ids.empty()) index.erase(it);
-  }
-}
-
 void Table::Clear() {
   slots_.clear();
   live_rows_ = 0;
   ++version_;
-  for (auto& [col, index] : indexes_) index.clear();
 }
 
 bool Table::MaybeVacuum() {
@@ -158,12 +106,6 @@ void Table::Vacuum() {
     if (slot.has_value()) compacted.emplace_back(std::move(slot));
   }
   slots_ = std::move(compacted);
-  for (auto& [col, index] : indexes_) {
-    index.clear();
-    for (RowId id = 0; id < static_cast<RowId>(slots_.size()); ++id) {
-      index[(*slots_[id])[col]].push_back(id);
-    }
-  }
 }
 
 }  // namespace declsched::storage

@@ -1,4 +1,4 @@
-// Heap table: the storage engine's row container with optional hash indexes.
+// Heap table: the storage engine's row container.
 
 #ifndef DECLSCHED_STORAGE_TABLE_H_
 #define DECLSCHED_STORAGE_TABLE_H_
@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -22,8 +21,7 @@ namespace declsched::storage {
 /// an auto-vacuum policy compacts the heap once dead slots dominate; it
 /// runs only at bulk-delete boundaries (end of DeleteWhere(), or an
 /// explicit MaybeVacuum()), never inside Delete(), so callers that resolve
-/// RowIds one at a time stay safe. Equality hash indexes can be declared
-/// per column and are maintained on every mutation.
+/// RowIds one at a time stay safe.
 class Table {
  public:
   Table(std::string name, Schema schema)
@@ -64,13 +62,6 @@ class Table {
   /// Snapshot of all live rows (copy), in insertion order.
   std::vector<Row> Scan() const;
 
-  /// Declares (and builds) an equality hash index over one column.
-  Status CreateIndex(std::string_view column_name);
-  bool HasIndex(int column_index) const;
-
-  /// RowIds of live rows whose `column` equals `key`. Requires an index.
-  Result<std::vector<RowId>> IndexLookup(int column_index, const Value& key) const;
-
   /// Deletes every live row matching `pred`; returns how many were removed.
   /// Runs the auto-vacuum check afterwards (RowIds may be invalidated).
   template <typename Pred>
@@ -86,7 +77,7 @@ class Table {
     return removed;
   }
 
-  /// Removes all rows (keeps schema and index declarations).
+  /// Removes all rows (keeps the schema and auto-vacuum policy).
   void Clear();
 
   /// Compacts tombstones. Invalidates all previously returned RowIds.
@@ -104,8 +95,6 @@ class Table {
 
  private:
   Status ValidateRow(const Row& row) const;
-  void IndexInsert(RowId id, const Row& row);
-  void IndexErase(RowId id, const Row& row);
   void DeleteInternal(RowId id);
 
   std::string name_;
@@ -115,9 +104,6 @@ class Table {
   uint64_t version_ = 0;
   double auto_vacuum_ratio_ = 0.5;
   int64_t auto_vacuum_min_slots_ = 256;
-  // column index -> (key value -> RowIds)
-  std::unordered_map<int, std::unordered_map<Value, std::vector<RowId>, ValueHash, ValueEq>>
-      indexes_;
 };
 
 }  // namespace declsched::storage

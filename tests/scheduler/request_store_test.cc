@@ -1,5 +1,12 @@
 #include "scheduler/request_store.h"
 
+#include <algorithm>
+#include <cstdlib>
+#include <map>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "gtest/gtest.h"
 
 namespace declsched::scheduler {
@@ -238,6 +245,372 @@ TEST(RequestStoreTest, SqlEngineSeesTables) {
   auto result = store.sql_engine()->Query("SELECT COUNT(*) FROM requests");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows[0][0].AsInt64(), 1);
+}
+
+
+// --- the catalog view against the typed relations -------------------------
+
+std::vector<uint64_t> StoreViewSeeds() {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("DECLSCHED_STORE_VIEW_SEEDS")) {
+    const char* p = env;
+    while (*p != '\0') {
+      char* end = nullptr;
+      const uint64_t v = std::strtoull(p, &end, 10);
+      if (end == p) break;
+      seeds.push_back(v);
+      p = (*end == ',') ? end + 1 : end;
+    }
+  }
+  if (seeds.empty()) seeds = {3, 33, 333};
+  return seeds;
+}
+
+std::string Describe(const Request& r) {
+  return std::to_string(r.id) + "/" + std::to_string(r.ta) + "." +
+         std::to_string(r.intrata) + txn::OpTypeToChar(r.op) + "[" +
+         std::to_string(r.object) + "] p" + std::to_string(r.priority) +
+         " d" + std::to_string(r.deadline.micros()) + " a" +
+         std::to_string(r.arrival.micros()) + " c" + std::to_string(r.client) +
+         " t" + std::to_string(r.tenant);
+}
+
+std::string Describe(const TenantAcct& a) {
+  return std::to_string(a.tenant) + ":" + std::to_string(a.weight) + "," +
+         std::to_string(a.vtime) + "," + std::to_string(a.round) + "," +
+         std::to_string(a.tokens) + "," + std::to_string(a.rate) + "," +
+         std::to_string(a.burst) + "," + std::to_string(a.cap) + "," +
+         std::to_string(a.inflight);
+}
+
+/// What the store must hold, kept by plain code beside it: the relations
+/// in view order plus every counter's expected movement since the start.
+struct StoreModel {
+  std::map<int64_t, Request> pending;
+  std::vector<Request> history;
+  std::map<int64_t, TenantAcct> tenants;
+  uint64_t pending_version = 0;
+  uint64_t history_version = 0;
+  uint64_t tenants_version = 0;
+  uint64_t pending_epoch = 0;
+  uint64_t history_epoch = 0;
+};
+
+struct Baseline {
+  uint64_t pv, hv, tv, pe, he;
+};
+
+Baseline Counters(const RequestStore& store) {
+  return {store.pending_version(), store.history_version(),
+          store.tenants_version(), store.pending_epoch(),
+          store.history_epoch()};
+}
+
+void ExpectTypedMatchesModel(const RequestStore& store, const StoreModel& m,
+                             const Baseline& b, const std::string& where) {
+  std::vector<std::string> want;
+  std::vector<std::string> got;
+  for (const auto& [id, r] : m.pending) want.push_back(Describe(r));
+  for (const auto& [id, r] : store.pending_by_id()) {
+    EXPECT_EQ(id, r.id) << where;
+    got.push_back(Describe(r));
+  }
+  EXPECT_EQ(got, want) << where << ": pending";
+  want.clear();
+  got.clear();
+  for (const Request& r : m.history) want.push_back(Describe(r));
+  store.ForEachHistory([&](const Request& r) { got.push_back(Describe(r)); });
+  EXPECT_EQ(got, want) << where << ": history";
+  want.clear();
+  got.clear();
+  for (const auto& [t, a] : m.tenants) want.push_back(Describe(a));
+  for (const auto& [t, a] : store.tenants_by_id()) got.push_back(Describe(a));
+  EXPECT_EQ(got, want) << where << ": tenants";
+  EXPECT_EQ(store.pending_count(), static_cast<int64_t>(m.pending.size()));
+  EXPECT_EQ(store.history_count(), static_cast<int64_t>(m.history.size()));
+  EXPECT_EQ(store.tenant_count(), static_cast<int64_t>(m.tenants.size()));
+  const Baseline now = Counters(store);
+  EXPECT_EQ(now.pv - b.pv, m.pending_version) << where;
+  EXPECT_EQ(now.hv - b.hv, m.history_version) << where;
+  EXPECT_EQ(now.tv - b.tv, m.tenants_version) << where;
+  EXPECT_EQ(now.pe - b.pe, m.pending_epoch) << where;
+  EXPECT_EQ(now.he - b.he, m.history_epoch) << where;
+}
+
+void ExpectViewMatchesModel(RequestStore* store, const StoreModel& m,
+                            const std::string& where) {
+  const storage::Catalog* catalog = store->catalog();
+  std::vector<std::string> want;
+  std::vector<std::string> got;
+  for (const auto& [id, r] : m.pending) want.push_back(Describe(r));
+  catalog->GetTable("requests")->ForEach([&](storage::RowId, const storage::Row& row) {
+    got.push_back(Describe(RequestStore::RowToRequestFull(row)));
+  });
+  EXPECT_EQ(got, want) << where << ": requests table";
+  want.clear();
+  got.clear();
+  for (const Request& r : m.history) want.push_back(Describe(r));
+  catalog->GetTable("history")->ForEach([&](storage::RowId, const storage::Row& row) {
+    got.push_back(Describe(RequestStore::RowToRequestFull(row)));
+  });
+  EXPECT_EQ(got, want) << where << ": history table";
+  want.clear();
+  got.clear();
+  for (const auto& [t, a] : m.tenants) want.push_back(Describe(a));
+  catalog->GetTable("tenants")->ForEach([&](storage::RowId, const storage::Row& row) {
+    got.push_back(Describe(RequestStore::RowToTenant(row)));
+  });
+  EXPECT_EQ(got, want) << where << ": tenants table";
+}
+
+std::string SqlRow(const Request& r) {
+  return "(" + std::to_string(r.id) + ", " + std::to_string(r.ta) + ", " +
+         std::to_string(r.intrata) + ", '" + txn::OpTypeToChar(r.op) + "', " +
+         std::to_string(r.object) + ", " + std::to_string(r.priority) + ", " +
+         std::to_string(r.deadline.micros()) + ", " +
+         std::to_string(r.arrival.micros()) + ", " + std::to_string(r.client) +
+         ", " + std::to_string(r.tenant) + ")";
+}
+
+Request RandomRequest(Rng* rng, int64_t id) {
+  static constexpr txn::OpType kOps[] = {txn::OpType::kRead, txn::OpType::kWrite,
+                                         txn::OpType::kRead, txn::OpType::kWrite,
+                                         txn::OpType::kCommit, txn::OpType::kAbort};
+  Request r;
+  r.id = id;
+  r.ta = rng->UniformInt(1, 8);
+  r.intrata = rng->UniformInt(1, 5);
+  r.op = kOps[rng->UniformInt(0, 5)];
+  r.object = (r.op == txn::OpType::kRead || r.op == txn::OpType::kWrite)
+                 ? rng->UniformInt(0, 9)
+                 : Request::kNoObject;
+  r.priority = static_cast<int>(rng->UniformInt(0, 2));
+  r.deadline = SimTime::FromMicros(rng->UniformInt(0, 1) * rng->UniformInt(1, 9000));
+  r.arrival = SimTime::FromMicros(rng->UniformInt(0, 9000));
+  r.client = static_cast<int>(rng->UniformInt(-1, 3));
+  r.tenant = static_cast<int>(rng->UniformInt(0, 5));
+  return r;
+}
+
+bool IsMarker(const Request& r) {
+  return r.op == txn::OpType::kCommit || r.op == txn::OpType::kAbort;
+}
+
+/// Random sequences of the six mutators interleaved with out-of-band SQL
+/// DML on every table: after each step the typed relations, the counters
+/// and (on most steps) the materialized view must equal a plain model.
+TEST(RequestStoreTest, CatalogViewEqualsTypedRelations) {
+  for (uint64_t seed : StoreViewSeeds()) {
+    Rng rng(seed);
+    RequestStore store;
+    StoreModel m;
+    const Baseline base = Counters(store);
+    int64_t next_id = 1;
+    for (int step = 0; step < 400; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const int64_t kind = rng.UniformInt(0, 14);
+      if (kind <= 2) {  // InsertPending
+        RequestBatch batch;
+        const int n = static_cast<int>(rng.UniformInt(1, 4));
+        for (int i = 0; i < n; ++i) batch.push_back(RandomRequest(&rng, next_id++));
+        ASSERT_TRUE(store.InsertPending(batch).ok()) << where;
+        for (const Request& r : batch) {
+          m.pending[r.id] = r;
+          if (m.tenants.count(r.tenant) == 0) {
+            TenantAcct acct;
+            acct.tenant = r.tenant;
+            m.tenants[r.tenant] = acct;
+            ++m.tenants_version;
+          }
+        }
+        m.pending_version += batch.size();
+        ++m.pending_epoch;
+      } else if (kind <= 4) {  // MarkScheduled: a projection of some pending
+        std::vector<int64_t> ids;
+        for (const auto& [id, r] : m.pending) {
+          if (rng.Bernoulli(0.4)) ids.push_back(id);
+        }
+        if (ids.empty()) continue;
+        std::reverse(ids.begin(), ids.end());  // dispatch order is any order
+        RequestBatch batch;
+        for (int64_t id : ids) {
+          Request projection;
+          projection.id = id;
+          batch.push_back(projection);
+        }
+        ASSERT_TRUE(store.MarkScheduled(batch).ok()) << where;
+        for (int64_t id : ids) {
+          m.history.push_back(m.pending.at(id));
+          m.pending.erase(id);
+        }
+        m.pending_version += ids.size();
+        m.history_version += ids.size();
+        ++m.pending_epoch;
+        ++m.history_epoch;
+      } else if (kind == 5) {  // InsertHistory
+        const Request r = RandomRequest(&rng, next_id++);
+        ASSERT_TRUE(store.InsertHistory(r).ok()) << where;
+        m.history.push_back(r);
+        ++m.history_version;
+        ++m.history_epoch;
+      } else if (kind == 6) {  // DropPendingOfTransaction
+        const txn::TxnId ta = rng.UniformInt(1, 8);
+        std::map<int64_t, int64_t> by_tenant;
+        std::map<int64_t, int64_t> want_by_tenant;
+        int64_t want = 0;
+        for (auto it = m.pending.begin(); it != m.pending.end();) {
+          if (it->second.ta == ta) {
+            ++want_by_tenant[it->second.tenant];
+            ++want;
+            it = m.pending.erase(it);
+          } else {
+            ++it;
+          }
+        }
+        EXPECT_EQ(store.DropPendingOfTransaction(ta, &by_tenant), want) << where;
+        EXPECT_EQ(by_tenant, want_by_tenant) << where;
+        m.pending_version += static_cast<uint64_t>(want);
+        if (want > 0) ++m.pending_epoch;
+      } else if (kind == 7) {  // GarbageCollectFinished
+        std::vector<txn::TxnId> txns;
+        for (const Request& r : m.history) {
+          if (IsMarker(r)) txns.push_back(r.ta);
+        }
+        std::sort(txns.begin(), txns.end());
+        txns.erase(std::unique(txns.begin(), txns.end()), txns.end());
+        std::map<int64_t, int64_t> by_tenant;
+        int64_t retired = 0;
+        std::vector<Request> kept;
+        for (const Request& r : m.history) {
+          if (std::binary_search(txns.begin(), txns.end(), r.ta)) {
+            ++by_tenant[r.tenant];
+            ++retired;
+          } else {
+            kept.push_back(r);
+          }
+        }
+        auto gc = store.GarbageCollectFinished();
+        ASSERT_TRUE(gc.ok()) << where;
+        EXPECT_EQ(gc->txns, txns) << where;
+        EXPECT_EQ(gc->rows_retired, retired) << where;
+        EXPECT_EQ(gc->rows_by_tenant, by_tenant) << where;
+        m.history = std::move(kept);
+        m.history_version += static_cast<uint64_t>(retired);
+        if (!txns.empty()) ++m.history_epoch;
+      } else if (kind == 8) {  // UpsertTenant
+        TenantAcct acct;
+        acct.tenant = rng.UniformInt(0, 6);
+        acct.weight = rng.UniformInt(1, 3);
+        acct.vtime = rng.UniformInt(0, 500);
+        acct.round = rng.UniformInt(0, 5);
+        acct.tokens = rng.UniformInt(0, 4);
+        acct.rate = rng.UniformInt(0, 2);
+        acct.burst = rng.UniformInt(0, 4);
+        acct.cap = rng.UniformInt(0, 3);
+        acct.inflight = rng.UniformInt(0, 6);
+        ASSERT_TRUE(store.UpsertTenant(acct).ok()) << where;
+        m.tenants[acct.tenant] = acct;
+        ++m.tenants_version;
+      } else {  // out-of-band SQL DML on one of the three tables
+        const int64_t table = rng.UniformInt(0, 2);
+        const int64_t verb = rng.UniformInt(0, 2);
+        const txn::TxnId ta = rng.UniformInt(1, 8);
+        const int64_t tenant = rng.UniformInt(0, 6);
+        const int64_t value = rng.UniformInt(0, 99);
+        std::string sql;
+        int64_t want = 0;
+        if (table == 0 && verb == 0) {
+          const Request r = RandomRequest(&rng, next_id++);
+          sql = "INSERT INTO requests VALUES " + SqlRow(r);
+          m.pending[r.id] = r;
+          want = 1;
+        } else if (table == 0 && verb == 1) {
+          sql = "UPDATE requests SET priority = " + std::to_string(value) +
+                " WHERE ta = " + std::to_string(ta);
+          for (auto& [id, r] : m.pending) {
+            if (r.ta == ta) {
+              r.priority = static_cast<int>(value);
+              ++want;
+            }
+          }
+        } else if (table == 0) {
+          sql = "DELETE FROM requests WHERE ta = " + std::to_string(ta);
+          for (auto it = m.pending.begin(); it != m.pending.end();) {
+            if (it->second.ta == ta) {
+              it = m.pending.erase(it);
+              ++want;
+            } else {
+              ++it;
+            }
+          }
+        } else if (table == 1 && verb == 0) {
+          const Request r = RandomRequest(&rng, next_id++);
+          sql = "INSERT INTO history VALUES " + SqlRow(r);
+          m.history.push_back(r);
+          want = 1;
+        } else if (table == 1 && verb == 1) {
+          sql = "UPDATE history SET object = " + std::to_string(value) +
+                " WHERE ta = " + std::to_string(ta);
+          for (Request& r : m.history) {
+            if (r.ta == ta) {
+              r.object = value;
+              ++want;
+            }
+          }
+        } else if (table == 1) {
+          sql = "DELETE FROM history WHERE ta = " + std::to_string(ta);
+          const size_t before = m.history.size();
+          m.history.erase(std::remove_if(m.history.begin(), m.history.end(),
+                                         [&](const Request& r) { return r.ta == ta; }),
+                          m.history.end());
+          want = static_cast<int64_t>(before - m.history.size());
+        } else if (verb == 0 && m.tenants.count(tenant + 10) == 0) {
+          TenantAcct acct;
+          acct.tenant = tenant + 10;  // above UpsertTenant's ids: always fresh
+          acct.vtime = value;
+          sql = "INSERT INTO tenants VALUES (" + std::to_string(acct.tenant) +
+                ", 1, " + std::to_string(value) + ", 0, 0, 0, 0, 0, 0)";
+          m.tenants[acct.tenant] = acct;
+          want = 1;
+        } else if (verb <= 1) {
+          sql = "UPDATE tenants SET vtime = " + std::to_string(value) +
+                " WHERE tenant = " + std::to_string(tenant);
+          auto it = m.tenants.find(tenant);
+          if (it != m.tenants.end()) {
+            it->second.vtime = value;
+            want = 1;
+          }
+        } else {
+          sql = "DELETE FROM tenants WHERE tenant = " + std::to_string(tenant);
+          want = static_cast<int64_t>(m.tenants.erase(tenant));
+        }
+        auto affected = store.sql_engine()->Execute(sql);
+        ASSERT_TRUE(affected.ok()) << where << ": " << sql << ": "
+                                   << affected.status().ToString();
+        ASSERT_EQ(*affected, want) << where << ": " << sql;
+        // An absorbed edit moves the relation's version by the rows it
+        // touched; only pending answers with an epoch bump.
+        const uint64_t moved = static_cast<uint64_t>(want);
+        if (table == 0) {
+          m.pending_version += moved;
+          if (want > 0) ++m.pending_epoch;
+        } else if (table == 1) {
+          m.history_version += moved;
+        } else {
+          m.tenants_version += moved;
+        }
+      }
+      ExpectTypedMatchesModel(store, m, base, where);
+      // Let the view lag across some steps so a rewrite covers several
+      // mutations; checking it must not move any counter.
+      if (rng.Bernoulli(0.5)) {
+        ExpectViewMatchesModel(&store, m, where);
+        ExpectTypedMatchesModel(store, m, base, where + " after view sync");
+      }
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -664,5 +664,205 @@ TEST(ShardedSchedulerTest, ShardsShareOneServerWithPerShardBusyAccounting) {
   EXPECT_EQ(server.RowValue(obj1).ValueOrDie(), 1);
 }
 
+
+// --- the catalog view stays off the compiled hot path ---------------------
+
+/// Drives `txns` closed-loop transactions through SubmitBatch/RunUntilIdle.
+/// Every transaction writes or reads one object per shard in ascending
+/// order with one request in flight, so each commit is cross-shard; its
+/// tenant is ta % `tenants`. Returns how many committed.
+int RunCrossShardClosedLoop(ShardedScheduler* sharded, int txns, int tenants,
+                            uint64_t seed) {
+  std::vector<int64_t> on_shard[2];
+  for (int64_t o = 0; on_shard[0].size() < 12 || on_shard[1].size() < 12; ++o) {
+    on_shard[sharded->router().ShardOfObject(o)].push_back(o);
+  }
+  struct Txn {
+    std::vector<int64_t> objects;
+    size_t next = 0;
+  };
+  const auto tagged = [&](Request r) {
+    r.tenant = static_cast<int>(r.ta % tenants);
+    return r;
+  };
+  Rng rng(seed);
+  std::map<txn::TxnId, Txn> live;
+  txn::TxnId next_ta = 1;
+  int committed = 0;
+  RequestBatch batch;
+  RequestBatch dispatched;
+  for (int round = 0; round < 10000 && committed < txns; ++round) {
+    batch.clear();
+    for (int k = 0; k < 3 && next_ta <= txns; ++k) {
+      const txn::TxnId ta = next_ta++;
+      Txn txn;
+      for (const auto& objects : on_shard) {
+        txn.objects.push_back(objects[static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(objects.size()) - 1))]);
+      }
+      std::sort(txn.objects.begin(), txn.objects.end());
+      batch.push_back(tagged(Op(ta, 1, txn::OpType::kWrite, txn.objects[0])));
+      txn.next = 1;
+      live[ta] = std::move(txn);
+    }
+    for (const Request& r : dispatched) {
+      if (r.op == txn::OpType::kCommit) {
+        ++committed;
+        live.erase(r.ta);
+        continue;
+      }
+      Txn& txn = live.at(r.ta);
+      const int64_t intrata = static_cast<int64_t>(txn.next) + 1;
+      if (txn.next < txn.objects.size()) {
+        batch.push_back(tagged(Op(r.ta, intrata,
+                                  rng.Bernoulli(0.5) ? txn::OpType::kWrite
+                                                     : txn::OpType::kRead,
+                                  txn.objects[txn.next++])));
+      } else {
+        batch.push_back(tagged(
+            Op(r.ta, intrata, txn::OpType::kCommit, Request::kNoObject)));
+      }
+    }
+    sharded->SubmitBatch(batch.data(), batch.size(), SimTime());
+    EXPECT_TRUE(sharded->RunUntilIdle(SimTime()).ok());
+    dispatched = sharded->TakeDispatched();
+  }
+  return committed;
+}
+
+/// The compiled protocol, the lock table and the tenant accountant read the
+/// typed relations, so a whole run never rewrites the catalog tables and
+/// never leaves the delta path; the view is written only when asked for.
+void ExpectCompiledRunLeavesViewUntouched(ProtocolSpec protocol, int tenants) {
+  ShardedScheduler::Options options;
+  options.num_shards = 2;
+  options.shard.protocol = std::move(protocol);
+  options.shard.deadlock_detection = false;
+  ShardedScheduler sharded(std::move(options), nullptr);
+  ASSERT_TRUE(sharded.Init().ok());
+  constexpr const char* kTables[] = {"requests", "history", "tenants"};
+  std::vector<const storage::Table*> tables;
+  std::vector<uint64_t> versions;
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    for (const char* name : kTables) {
+      tables.push_back(sharded.shard(s)->store()->catalog()->GetTable(name));
+      versions.push_back(tables.back()->version());
+    }
+  }
+
+  constexpr int kTxns = 300;
+  ASSERT_EQ(RunCrossShardClosedLoop(&sharded, kTxns, tenants, 23), kTxns);
+  EXPECT_EQ(sharded.totals().escrows, kTxns);
+  // Leave resident rows behind on every shard: a write that dispatches
+  // (history) and a conflicting one that waits (pending).
+  txn::TxnId ta = kTxns + 1;
+  std::vector<int64_t> object_of(2, -1);
+  for (int64_t o = 0; object_of[0] < 0 || object_of[1] < 0; ++o) {
+    int64_t& first = object_of[sharded.router().ShardOfObject(o)];
+    if (first < 0) first = o;
+  }
+  for (int64_t object : object_of) {
+    sharded.Submit(Op(ta++, 1, txn::OpType::kWrite, object), SimTime());
+    sharded.Submit(Op(ta++, 1, txn::OpType::kWrite, object), SimTime());
+  }
+  ASSERT_TRUE(sharded.RunUntilIdle(SimTime()).ok());
+
+  const auto consumers = [&](int s) {
+    const auto* compiled = dynamic_cast<const ir::CompiledProtocol*>(
+        sharded.shard(s)->active_protocol());
+    EXPECT_NE(compiled, nullptr) << "shard " << s;
+    EXPECT_TRUE(compiled != nullptr && compiled->uses_vec()) << "shard " << s;
+    const TenantAccountant* acct = sharded.shard(s)->tenant_accountant();
+    EXPECT_NE(acct, nullptr) << "shard " << s;
+    return std::vector<int64_t>{
+        compiled != nullptr && compiled->uses_vec()
+            ? compiled->mirror()->full_rebuilds()
+            : -1,
+        compiled != nullptr ? compiled->lock_state().full_rebuilds() : -1,
+        acct != nullptr ? acct->full_rebuilds() : -1};
+  };
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    for (size_t t = 0; t < 3; ++t) {
+      EXPECT_EQ(tables[3 * s + t]->version(), versions[3 * s + t])
+          << "shard " << s << " rewrote " << kTables[t] << " during the run";
+    }
+    // The mirror and the lock table build once on the first cycle; the
+    // accountant adopts the empty store's sync point and never rebuilds.
+    EXPECT_EQ(consumers(s), (std::vector<int64_t>{1, 1, 0})) << "shard " << s;
+  }
+
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    RequestStore* store = sharded.shard(s)->store();
+    ASSERT_GT(store->pending_count(), 0) << "shard " << s;
+    ASSERT_GT(store->history_count(), 0) << "shard " << s;
+    const storage::Catalog* catalog = store->catalog();
+    std::vector<std::string> want;
+    std::vector<std::string> got;
+    for (const auto& [id, r] : store->pending_by_id()) {
+      want.push_back(std::to_string(id) + " " + Key(r));
+    }
+    catalog->GetTable("requests")->ForEach(
+        [&](storage::RowId, const storage::Row& row) {
+          const Request r = RequestStore::RowToRequestFull(row);
+          got.push_back(std::to_string(r.id) + " " + Key(r));
+        });
+    EXPECT_EQ(got, want) << "shard " << s << " requests";
+    want.clear();
+    got.clear();
+    store->ForEachHistory([&](const Request& r) {
+      want.push_back(std::to_string(r.id) + " " + Key(r));
+    });
+    catalog->GetTable("history")->ForEach(
+        [&](storage::RowId, const storage::Row& row) {
+          const Request r = RequestStore::RowToRequestFull(row);
+          got.push_back(std::to_string(r.id) + " " + Key(r));
+        });
+    EXPECT_EQ(got, want) << "shard " << s << " history";
+    want.clear();
+    got.clear();
+    for (const auto& [tenant, a] : store->tenants_by_id()) {
+      want.push_back(std::to_string(tenant) + " v" + std::to_string(a.vtime) +
+                     " i" + std::to_string(a.inflight));
+    }
+    catalog->GetTable("tenants")->ForEach(
+        [&](storage::RowId, const storage::Row& row) {
+          const TenantAcct a = RequestStore::RowToTenant(row);
+          got.push_back(std::to_string(a.tenant) + " v" +
+                        std::to_string(a.vtime) + " i" +
+                        std::to_string(a.inflight));
+        });
+    EXPECT_EQ(got, want) << "shard " << s << " tenants";
+    EXPECT_EQ(static_cast<int64_t>(want.size()),
+              std::min<int64_t>(tenants, kTxns));
+  }
+
+  // One out-of-band UPDATE per request relation, then a cycle: every
+  // consumer rebuilds exactly once more.
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    RequestStore* store = sharded.shard(s)->store();
+    for (const char* table : {"requests", "history"}) {
+      auto updated = store->sql_engine()->Execute(
+          std::string("UPDATE ") + table + " SET priority = 1");
+      ASSERT_TRUE(updated.ok()) << updated.status().ToString();
+      EXPECT_GT(*updated, 0) << "shard " << s << " " << table;
+    }
+  }
+  for (int64_t object : object_of) {
+    sharded.Submit(Op(ta++, 1, txn::OpType::kWrite, object), SimTime());
+  }
+  ASSERT_TRUE(sharded.RunUntilIdle(SimTime()).ok());
+  for (int s = 0; s < sharded.num_shards(); ++s) {
+    EXPECT_EQ(consumers(s), (std::vector<int64_t>{2, 2, 1})) << "shard " << s;
+  }
+}
+
+TEST(ShardedSchedulerTest, CompiledSs2plRunNeverMaterializesTheCatalog) {
+  ExpectCompiledRunLeavesViewUntouched(Ss2plSql(), /*tenants=*/1);
+}
+
+TEST(ShardedSchedulerTest, CompiledWfqRunNeverMaterializesTheCatalog) {
+  ExpectCompiledRunLeavesViewUntouched(WfqSql(), /*tenants=*/4);
+}
+
 }  // namespace
 }  // namespace declsched::scheduler

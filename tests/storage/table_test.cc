@@ -83,48 +83,6 @@ TEST(TableTest, ScanReturnsLiveRowsInInsertionOrder) {
   EXPECT_EQ(rows[1][0].AsInt64(), 3);
 }
 
-TEST(TableTest, IndexLookup) {
-  Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("name").ok());
-  RowId a = *t.Insert(MakeRow(1, "x", 1));
-  RowId b = *t.Insert(MakeRow(2, "x", 2));
-  t.Insert(MakeRow(3, "y", 3)).ValueOrDie();
-  auto hits = t.IndexLookup(1, Value::String("x"));
-  ASSERT_TRUE(hits.ok());
-  EXPECT_EQ(hits->size(), 2u);
-  EXPECT_EQ((*hits)[0], a);
-  EXPECT_EQ((*hits)[1], b);
-  auto misses = t.IndexLookup(1, Value::String("zzz"));
-  ASSERT_TRUE(misses.ok());
-  EXPECT_TRUE(misses->empty());
-}
-
-TEST(TableTest, IndexMaintainedAcrossMutations) {
-  Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("id").ok());
-  RowId a = *t.Insert(MakeRow(1, "a", 1));
-  ASSERT_TRUE(t.Update(a, MakeRow(42, "a", 1)).ok());
-  EXPECT_TRUE(t.IndexLookup(0, Value::Int64(1))->empty());
-  EXPECT_EQ(t.IndexLookup(0, Value::Int64(42))->size(), 1u);
-  ASSERT_TRUE(t.Delete(a).ok());
-  EXPECT_TRUE(t.IndexLookup(0, Value::Int64(42))->empty());
-}
-
-TEST(TableTest, IndexBuiltOverExistingRows) {
-  Table t("t", TestSchema());
-  t.Insert(MakeRow(7, "a", 1)).ValueOrDie();
-  ASSERT_TRUE(t.CreateIndex("id").ok());
-  EXPECT_EQ(t.IndexLookup(0, Value::Int64(7))->size(), 1u);
-}
-
-TEST(TableTest, CreateIndexErrors) {
-  Table t("t", TestSchema());
-  EXPECT_TRUE(t.CreateIndex("nope").IsNotFound());
-  ASSERT_TRUE(t.CreateIndex("id").ok());
-  EXPECT_EQ(t.CreateIndex("id").code(), StatusCode::kAlreadyExists);
-  EXPECT_TRUE(t.IndexLookup(1, Value::Int64(0)).status().IsInvalidArgument());
-}
-
 TEST(TableTest, DeleteWhere) {
   Table t("t", TestSchema());
   for (int i = 0; i < 10; ++i) t.Insert(MakeRow(i, "a", i)).ValueOrDie();
@@ -134,20 +92,17 @@ TEST(TableTest, DeleteWhere) {
   EXPECT_EQ(t.size(), 5);
 }
 
-TEST(TableTest, ClearKeepsSchemaAndIndexes) {
+TEST(TableTest, ClearKeepsSchema) {
   Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("id").ok());
   t.Insert(MakeRow(1, "a", 1)).ValueOrDie();
   t.Clear();
   EXPECT_EQ(t.size(), 0);
   t.Insert(MakeRow(2, "b", 2)).ValueOrDie();
-  EXPECT_EQ(t.IndexLookup(0, Value::Int64(2))->size(), 1u);
-  EXPECT_TRUE(t.IndexLookup(0, Value::Int64(1))->empty());
+  EXPECT_EQ(t.size(), 1);
 }
 
 TEST(TableTest, AutoVacuumCompactsDecayedHeap) {
   Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("id").ok());
   for (int i = 0; i < 1000; ++i) t.Insert(MakeRow(i, "a", i)).ValueOrDie();
   EXPECT_EQ(t.slot_count(), 1000);
   // DeleteWhere leaves mostly tombstones behind -> auto-vacuum kicks in.
@@ -156,17 +111,13 @@ TEST(TableTest, AutoVacuumCompactsDecayedHeap) {
   EXPECT_EQ(removed, 900);
   EXPECT_EQ(t.size(), 100);
   EXPECT_EQ(t.slot_count(), 100);  // compacted, not tombstoned
-  // Survivors keep their values, relative iteration order, and indexes.
+  // Survivors keep their values and relative iteration order.
   int64_t expect = 900;
   t.ForEach([&](RowId, const Row& row) {
     EXPECT_EQ(row[0].AsInt64(), expect);
     ++expect;
   });
   EXPECT_EQ(expect, 1000);
-  auto hits = t.IndexLookup(0, Value::Int64(950));
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*t.Get((*hits)[0]))[0].AsInt64(), 950);
 }
 
 TEST(TableTest, AutoVacuumRespectsMinSlots) {
@@ -193,7 +144,7 @@ TEST(TableTest, AutoVacuumCanBeDisabledAndTriggeredManually) {
 }
 
 TEST(TableTest, SingleRowDeleteNeverAutoVacuums) {
-  // Delete() callers may hold RowIds from an index lookup; only bulk-delete
+  // Delete() callers may hold RowIds from an earlier scan; only bulk-delete
   // boundaries are allowed to compact.
   Table t("t", TestSchema());
   std::vector<RowId> ids;
@@ -205,17 +156,13 @@ TEST(TableTest, SingleRowDeleteNeverAutoVacuums) {
   EXPECT_EQ(t.slot_count(), 1);
 }
 
-TEST(TableTest, VacuumCompactsAndReindexes) {
+TEST(TableTest, VacuumCompacts) {
   Table t("t", TestSchema());
-  ASSERT_TRUE(t.CreateIndex("id").ok());
   for (int i = 0; i < 100; ++i) t.Insert(MakeRow(i, "a", i)).ValueOrDie();
   t.DeleteWhere([](const Row& row) { return row[0].AsInt64() < 90; });
   t.Vacuum();
   EXPECT_EQ(t.size(), 10);
-  auto hits = t.IndexLookup(0, Value::Int64(95));
-  ASSERT_TRUE(hits.ok());
-  ASSERT_EQ(hits->size(), 1u);
-  EXPECT_EQ((*t.Get((*hits)[0]))[0].AsInt64(), 95);
+  EXPECT_EQ(t.slot_count(), 10);
 }
 
 }  // namespace
